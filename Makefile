@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet lint lint-sarif race bench bench-smoke bench-kernel bench-obs bench-sta bench-throughput bench-diff check
+.PHONY: build test vet lint lint-sarif race bench bench-smoke bench-kernel bench-obs bench-sta bench-diff check
 
 build:
 	$(GO) build ./...
@@ -69,12 +69,6 @@ bench-sta:
 # by the flow tests).
 check: build vet lint test race
 
-# Batched-pipeline throughput smoke: one iteration of the windows/sec/core
-# bench on the -short repeated-context strip (per-window vs batched, cache
-# off and on). Reference numbers: BENCH_throughput.json.
-bench-throughput:
-	$(GO) test -short -run=NONE -bench=Throughput_BatchedPipeline -benchtime=1x .
-
 # Run-ledger regression gate: two small instrumented postopc-sta runs
 # write ledgers; postopc-report summarizes the second, diffs it against
 # the first (generous 400% threshold, 0.1 ms noise floor — this is a
@@ -85,8 +79,8 @@ bench-throughput:
 bench-diff:
 	$(GO) build -o bin/postopc-sta ./cmd/postopc-sta
 	$(GO) build -o bin/postopc-report ./cmd/postopc-report
-	./bin/postopc-sta -design rca -size 4 -fast -cache -j 2 -batch 3 -ledger bench-base.ledger > /dev/null
-	./bin/postopc-sta -design rca -size 4 -fast -cache -j 2 -batch 3 -ledger bench-cur.ledger > /dev/null
+	./bin/postopc-sta -design rca -size 4 -fast -cache -j 2 -ledger bench-base.ledger > /dev/null
+	./bin/postopc-sta -design rca -size 4 -fast -cache -j 2 -ledger bench-cur.ledger > /dev/null
 	./bin/postopc-report summary bench-cur.ledger
 	./bin/postopc-report diff -threshold 400 -min-ns 100000 bench-base.ledger bench-cur.ledger
 	./bin/postopc-report diff -threshold 400 \

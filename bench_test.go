@@ -10,7 +10,6 @@ package postopc
 import (
 	"fmt"
 	"math"
-	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -21,7 +20,6 @@ import (
 	"postopc/internal/litho"
 	"postopc/internal/metro"
 	"postopc/internal/netlist"
-	"postopc/internal/obs"
 	"postopc/internal/opc"
 	"postopc/internal/pdk"
 	"postopc/internal/place"
@@ -674,191 +672,6 @@ func BenchmarkAblation_WindowCache(b *testing.B) {
 		printOnce(b, i, func() {
 			tb.Fprint(stdout)
 			report.WriteSeriesCSV(stdout, []report.Series{hitS, spdS})
-		})
-	}
-}
-
-// BenchmarkThroughput_BatchedPipeline measures multi-window throughput of
-// full-chip extraction + ORC on a repeated-context strip chip, in
-// windows/sec/core: total windows pushed through the imaging pipeline
-// (gate extraction windows + ORC tiles) divided by wall time and by
-// GOMAXPROCS. Four modes share the same chip and the same core budget:
-//
-//	per-window            — the PR 4 baseline path (fork-join, no cache)
-//	per-window + cache    — fork-join with the content-addressed cache
-//	batched 16            — the staged prep/kernel/post pipeline, no cache
-//	batched 16 + cache    — the pipeline with Reserve-classified cache hits
-//
-// All four produce byte-identical results (pinned by the determinism
-// matrix in internal/flow/batch_test.go); this bench quantifies only the
-// rate. The headline number recorded in BENCH_throughput.json is the
-// speedup of "batched 16 + cache" over "per-window" on the strip chip.
-// Under -short a small block runs, sized for the CI smoke step
-// (`make bench-throughput`).
-func BenchmarkThroughput_BatchedPipeline(b *testing.B) {
-	f := getFixtures(b)
-	strip := place.Options{RowWidthNM: 2380}
-	stripTile := geom.Coord(2 * 2600)
-	nl := netlist.DatapathRegular(32, 10, 3)
-	if testing.Short() {
-		nl = netlist.DatapathRegular(12, 3, 3)
-	}
-	newFlow := func() *flow.Flow {
-		fl, err := flow.New(f.kit, flow.Config{Fast: true})
-		if err != nil {
-			b.Fatal(err)
-		}
-		return fl
-	}
-	pl, err := newFlow().Place(nl, strip)
-	if err != nil {
-		b.Fatal(err)
-	}
-	type mode struct {
-		name  string
-		batch int
-		cache bool
-	}
-	modes := []mode{
-		{"per-window", 0, false},
-		{"per-window + cache", 0, true},
-		{"batched 16", 16, false},
-		{"batched 16 + cache", 16, true},
-	}
-	cores := float64(runtime.GOMAXPROCS(0))
-	for i := 0; i < b.N; i++ {
-		tb := report.NewTable("throughput: batched window pipeline, strip "+nl.Name+" (fast model)",
-			"mode", "windows", "wall", "windows/sec", "windows/sec/core", "speedup")
-		rateS := report.Series{Name: "windows_per_sec_per_core"}
-		var base time.Duration
-		var headline float64
-		for mi, md := range modes {
-			fl := newFlow()
-			if md.cache {
-				fl.EnableCache(0)
-			}
-			t0 := time.Now()
-			exts, err := fl.ExtractGates(pl.Chip, nil, flow.ExtractOptions{
-				Mode: flow.OPCModel, Batch: md.batch,
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			rep, err := fl.VerifyChip(pl.Chip, flow.ORCOptions{
-				Mode: flow.OPCModel, TileNM: stripTile, Batch: md.batch,
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			wall := time.Since(t0)
-			windows := len(exts) + rep.Tiles
-			rate := float64(windows) / wall.Seconds()
-			if mi == 0 {
-				base = wall
-			}
-			speedup := float64(base) / float64(wall)
-			if md.batch > 1 && md.cache {
-				headline = speedup
-			}
-			tb.AddF(2, md.name, windows, wall.Round(time.Millisecond).String(),
-				rate, rate/cores, speedup)
-			rateS.X = append(rateS.X, float64(mi))
-			rateS.Y = append(rateS.Y, rate/cores)
-		}
-		b.ReportMetric(headline, "speedup")
-		printOnce(b, i, func() {
-			tb.Fprint(stdout)
-			report.WriteSeriesCSV(stdout, []report.Series{rateS})
-		})
-	}
-}
-
-// BenchmarkThroughput_GOMAXPROCS measures how the batched window pipeline
-// scales with scheduler parallelism: the strip chip runs at GOMAXPROCS 1,
-// 4 and 8 (batched 16, cache on — the headline mode of
-// BenchmarkThroughput_BatchedPipeline) with an instrumented sink, and the
-// table reports windows/sec plus the per-stage busy/wait split of the
-// prep → kernel → post pipeline from the par.Pipeline telemetry.
-// Occupancy is the busy fraction of each stage's total worker time
-// (busy / (busy + wait)) summed over the extraction and ORC runs. Results
-// are byte-identical across the series (the flow determinism matrix pins
-// worker-count independence); only the rate and the stage overlap change.
-// The recorded series lives in BENCH_throughput.json.
-func BenchmarkThroughput_GOMAXPROCS(b *testing.B) {
-	f := getFixtures(b)
-	strip := place.Options{RowWidthNM: 2380}
-	stripTile := geom.Coord(2 * 2600)
-	nl := netlist.DatapathRegular(32, 10, 3)
-	if testing.Short() {
-		nl = netlist.DatapathRegular(12, 3, 3)
-	}
-	newFlow := func() *flow.Flow {
-		fl, err := flow.New(f.kit, flow.Config{Fast: true})
-		if err != nil {
-			b.Fatal(err)
-		}
-		return fl
-	}
-	pl, err := newFlow().Place(nl, strip)
-	if err != nil {
-		b.Fatal(err)
-	}
-	histSum := func(snap obs.Snapshot, name string) float64 {
-		for _, h := range snap.Histograms {
-			if h.Name == name {
-				return h.Sum
-			}
-		}
-		return 0
-	}
-	stages := []string{"prep", "kernel", "post"}
-	orig := runtime.GOMAXPROCS(0)
-	defer runtime.GOMAXPROCS(orig)
-	for i := 0; i < b.N; i++ {
-		tb := report.NewTable("throughput: batched pipeline GOMAXPROCS series, strip "+nl.Name+" (fast model, batch 16 + cache)",
-			"gomaxprocs", "windows", "wall", "windows/sec", "stage busy ms (p/k/p)", "stage wait ms (p/k/p)", "occupancy (p/k/p)")
-		rateS := report.Series{Name: "windows_per_sec"}
-		for _, procs := range []int{1, 4, 8} {
-			runtime.GOMAXPROCS(procs)
-			sink := obs.NewSink()
-			fl := newFlow().EnableCache(0).EnableObs(sink)
-			t0 := time.Now()
-			exts, err := fl.ExtractGates(pl.Chip, nil, flow.ExtractOptions{
-				Mode: flow.OPCModel, Batch: 16,
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			rep, err := fl.VerifyChip(pl.Chip, flow.ORCOptions{
-				Mode: flow.OPCModel, TileNM: stripTile, Batch: 16,
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			wall := time.Since(t0)
-			windows := len(exts) + rep.Tiles
-			snap := sink.Metrics.Snapshot()
-			var busyCol, waitCol, occCol []string
-			for _, st := range stages {
-				busy := histSum(snap, "par.pipeline_"+st+"_busy_ns")
-				wait := histSum(snap, "par.pipeline_"+st+"_wait_ns")
-				occ := 0.0
-				if busy+wait > 0 {
-					occ = busy / (busy + wait)
-				}
-				busyCol = append(busyCol, fmt.Sprintf("%.0f", busy/1e6))
-				waitCol = append(waitCol, fmt.Sprintf("%.0f", wait/1e6))
-				occCol = append(occCol, fmt.Sprintf("%.2f", occ))
-			}
-			rate := float64(windows) / wall.Seconds()
-			tb.AddF(2, procs, windows, wall.Round(time.Millisecond).String(), rate,
-				strings.Join(busyCol, "/"), strings.Join(waitCol, "/"), strings.Join(occCol, "/"))
-			rateS.X = append(rateS.X, float64(procs))
-			rateS.Y = append(rateS.Y, rate)
-		}
-		printOnce(b, i, func() {
-			tb.Fprint(stdout)
-			report.WriteSeriesCSV(stdout, []report.Series{rateS})
 		})
 	}
 }

@@ -118,12 +118,12 @@ func (s *Store) Instrument(sink *obs.Sink) *Store {
 	return s
 }
 
-// Ticket is one claimed lookup, the batch-aware face of the single-flight
-// protocol. Reserve classifies the lookup immediately — hit, single-flight
-// wait, or leadership of a fresh computation — so a staged pipeline can
-// route each batch member without blocking: hits (Ready) read their value
-// at once and skip the compute stages, leaders run the computation and must
-// Complete it, and waiters carry the ticket to a later stage and Wait there.
+// Ticket is one claimed lookup of the single-flight protocol. Reserve
+// classifies the lookup immediately — hit, single-flight wait, or
+// leadership of a fresh computation — so the caller can attribute it (the
+// flow's run ledger records the class) before acting on it: hits (Ready)
+// read their value at once, leaders run the computation and must Complete
+// it, and waiters Wait for the leader's result.
 // The zero Ticket is invalid; tickets are passed by value and must not be
 // reused after Wait/Complete returns the result.
 type Ticket struct {

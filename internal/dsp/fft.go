@@ -1,16 +1,12 @@
 // Package dsp implements the signal-processing primitives needed by the
-// lithography simulator: an in-place radix-2 complex FFT (1-D and 2-D) with
-// cached twiddle-factor and bit-reversal tables, a small complex grid type,
-// and pooled scratch buffers for the imaging hot path. Everything is
-// stdlib-only.
+// lithography simulator: an in-place radix-2 2-D FFT over structure-of-arrays
+// complex plane grids (FGrid) with cached twiddle-factor and bit-reversal
+// tables, band-selected and band-limited transform variants for pupil
+// filters that touch only a few spectrum rows, and pooled plane grids for
+// the imaging hot path. Everything is stdlib-only.
 package dsp
 
-import (
-	"fmt"
-	"math/bits"
-
-	"postopc/internal/dsp/vek"
-)
+import "math/bits"
 
 // NextPow2 returns the smallest power of two >= n (and >= 1).
 //
@@ -27,148 +23,6 @@ func NextPow2(n int) int {
 //postopc:allocfree
 func IsPow2(n int) bool { return n > 0 && n&(n-1) == 0 }
 
-// FFT performs an in-place forward radix-2 FFT on x. len(x) must be a power
-// of two.
-func FFT(x []complex128) error { return fft1d(x, false) }
-
-// IFFT performs an in-place inverse FFT on x (including the 1/N scaling).
-// len(x) must be a power of two.
-func IFFT(x []complex128) error { return fft1d(x, true) }
-
-//postopc:allocfree
-func fft1d(x []complex128, inverse bool) error {
-	n := len(x)
-	if !IsPow2(n) {
-		return fmt.Errorf("dsp: FFT length %d is not a power of two", n) //postopc:nolint:allocbudget error construction is the failure path
-	}
-	f := BorrowFGrid(n, 1)
-	defer ReturnFGrid(f)
-	vek.Split(f.Re, f.Im, x)
-	fftLinePlanes(f.Re, f.Im, planFor(n), inverse)
-	vek.Join(x, f.Re, f.Im)
-	return nil
-}
-
-// Grid is a dense Nx × Ny complex field stored row-major, the working
-// representation for mask spectra and aerial fields.
-type Grid struct {
-	Nx, Ny int
-	Data   []complex128
-}
-
-// NewGrid allocates a zeroed Nx × Ny grid.
-func NewGrid(nx, ny int) *Grid {
-	return &Grid{Nx: nx, Ny: ny, Data: make([]complex128, nx*ny)}
-}
-
-// At returns element (ix, iy).
-//
-//postopc:allocfree
-func (g *Grid) At(ix, iy int) complex128 { return g.Data[iy*g.Nx+ix] }
-
-// Set assigns element (ix, iy).
-//
-//postopc:allocfree
-func (g *Grid) Set(ix, iy int, v complex128) { g.Data[iy*g.Nx+ix] = v }
-
-// Clone returns a deep copy of g.
-func (g *Grid) Clone() *Grid {
-	out := NewGrid(g.Nx, g.Ny)
-	copy(out.Data, g.Data)
-	return out
-}
-
-// Clear zeroes every element in place.
-//
-//postopc:allocfree
-func (g *Grid) Clear() {
-	d := g.Data
-	for i := range d {
-		d[i] = 0
-	}
-}
-
-// FFT2D performs an in-place forward 2-D FFT over the grid. Both dimensions
-// must be powers of two.
-func (g *Grid) FFT2D() error { return g.fft2d(false) }
-
-// IFFT2D performs an in-place inverse 2-D FFT over the grid (scaled).
-func (g *Grid) IFFT2D() error { return g.fft2d(true) }
-
-func (g *Grid) fft2d(inverse bool) error {
-	// Stage the whole grid through pooled SoA planes once: one
-	// deinterleave/reinterleave pair amortized over both passes, with the
-	// row and column butterflies running on the vek kernel layer. Per
-	// element the float operation sequence matches the historical
-	// complex128 implementation, so results are bit-identical.
-	f, err := g.borrowPlanes()
-	if err != nil {
-		return err
-	}
-	defer ReturnFGrid(f)
-	if err := f.fft2d(inverse); err != nil {
-		return err
-	}
-	f.StoreGrid(g)
-	return nil
-}
-
-// FFT2DBandSelect performs the forward 2-D transform computing only the
-// listed spectrum rows: the column pass runs in full, then the row pass
-// runs on those rows only. On the listed rows the result equals a full
-// separable transform; every other row is left partially transformed and
-// must not be read. Band-limited consumers (a pupil filter that reads a
-// handful of spectrum rows) use this to skip most of the row pass.
-//
-// Note the pass order (columns, then rows) is the transpose of FFT2D's;
-// the two factorizations agree mathematically but differ in floating-point
-// rounding, so a caller must not mix values from both paths and expect
-// byte equality.
-func (g *Grid) FFT2DBandSelect(rows []int) error {
-	f, err := g.borrowPlanes()
-	if err != nil {
-		return err
-	}
-	defer ReturnFGrid(f)
-	if err := f.FFT2DBandSelect(rows); err != nil {
-		return err
-	}
-	f.StoreGrid(g)
-	return nil
-}
-
-// IFFT2DBandLimited performs the inverse 2-D transform of a spectrum whose
-// energy is confined to the listed rows: the row pass runs on those rows
-// only (the inverse FFT of an all-zero row is identically zero), the column
-// pass is full. For such spectra the result equals IFFT2D; rows outside the
-// list must be zero or the transform is wrong.
-func (g *Grid) IFFT2DBandLimited(rows []int) error {
-	f, err := g.borrowPlanes()
-	if err != nil {
-		return err
-	}
-	defer ReturnFGrid(f)
-	if err := f.IFFT2DBandLimited(rows); err != nil {
-		return err
-	}
-	f.StoreGrid(g)
-	return nil
-}
-
-// borrowPlanes borrows a pooled FGrid holding g's values as SoA planes, the
-// working representation of every transform. The caller must StoreGrid the
-// result back (on success) and return the FGrid to the pool.
-//
-//postopc:allocfree
-func (g *Grid) borrowPlanes() (*FGrid, error) {
-	if !IsPow2(g.Nx) || !IsPow2(g.Ny) {
-		return nil, fmt.Errorf("dsp: grid %dx%d not power-of-two", g.Nx, g.Ny) //postopc:nolint:allocbudget error construction is the failure path
-	}
-	f := BorrowFGrid(g.Nx, g.Ny)
-	f.LoadGrid(g)
-	return f, nil
-}
-
 // FreqIndex maps grid index i (0..n-1) to the signed frequency bin
 // (-n/2 .. n/2-1) using standard FFT ordering.
 //
@@ -178,16 +32,4 @@ func FreqIndex(i, n int) int {
 		return i
 	}
 	return i - n
-}
-
-// Energy returns the sum of |v|² over the grid.
-//
-//postopc:allocfree
-func (g *Grid) Energy() float64 {
-	var s float64
-	for _, v := range g.Data {
-		re, im := real(v), imag(v)
-		s += re*re + im*im
-	}
-	return s
 }

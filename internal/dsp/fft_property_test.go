@@ -9,12 +9,23 @@ import (
 )
 
 // randGrid fills a fresh nx×ny grid with unit-normal complex noise.
-func randGrid(rnd *rand.Rand, nx, ny int) *Grid {
-	g := NewGrid(nx, ny)
-	for i := range g.Data {
-		g.Data[i] = complex(rnd.NormFloat64(), rnd.NormFloat64())
+func randGrid(rnd *rand.Rand, nx, ny int) *FGrid {
+	g := NewFGrid(nx, ny)
+	for i := range g.Re {
+		g.Re[i], g.Im[i] = rnd.NormFloat64(), rnd.NormFloat64()
 	}
 	return g
+}
+
+// bitsEqual reports whether two grids hold bit-identical planes.
+func bitsEqual(a, b *FGrid) (int, bool) {
+	for i := range a.Re {
+		if math.Float64bits(a.Re[i]) != math.Float64bits(b.Re[i]) ||
+			math.Float64bits(a.Im[i]) != math.Float64bits(b.Im[i]) {
+			return i, false
+		}
+	}
+	return 0, true
 }
 
 // randPow2Dims draws non-square power-of-two grid dimensions.
@@ -48,13 +59,13 @@ func TestFFT2DParsevalProperty(t *testing.T) {
 
 func TestFFT2DImpulseFlatSpectrum(t *testing.T) {
 	// A delta at the grid origin transforms to an all-ones spectrum.
-	g := NewGrid(32, 8)
+	g := NewFGrid(32, 8)
 	g.Set(0, 0, 1)
 	if err := g.FFT2D(); err != nil {
 		t.Fatal(err)
 	}
-	for i, v := range g.Data {
-		if cmplx.Abs(v-1) > 1e-12 {
+	for i := range g.Re {
+		if v := at(g, i); cmplx.Abs(v-1) > 1e-12 {
 			t.Fatalf("bin %d = %v, want 1", i, v)
 		}
 	}
@@ -65,15 +76,15 @@ func TestFFT2DRoundTripNonSquareProperty(t *testing.T) {
 		rnd := rand.New(rand.NewSource(seed))
 		nx, ny := randPow2Dims(rnd)
 		g := randGrid(rnd, nx, ny)
-		orig := g.Clone()
+		orig := cloneGrid(g)
 		if err := g.FFT2D(); err != nil {
 			return false
 		}
 		if err := g.IFFT2D(); err != nil {
 			return false
 		}
-		for i := range g.Data {
-			if cmplx.Abs(g.Data[i]-orig.Data[i]) > 1e-9 {
+		for i := range g.Re {
+			if cmplx.Abs(at(g, i)-at(orig, i)) > 1e-9 {
 				return false
 			}
 		}
@@ -89,7 +100,7 @@ func TestFFT2DRoundTripNonSquareProperty(t *testing.T) {
 // plan cache is warmed first so a cold- and warm-cache transform are
 // compared too — building the twiddle tables must not move a result.
 func TestFFT2DDeterminism(t *testing.T) {
-	mk := func() *Grid {
+	mk := func() *FGrid {
 		r := rand.New(rand.NewSource(99))
 		return randGrid(r, 64, 32)
 	}
@@ -101,12 +112,8 @@ func TestFFT2DDeterminism(t *testing.T) {
 	if err := b.FFT2D(); err != nil {
 		t.Fatal(err)
 	}
-	for i := range a.Data {
-		ar, ai := math.Float64bits(real(a.Data[i])), math.Float64bits(imag(a.Data[i]))
-		br, bi := math.Float64bits(real(b.Data[i])), math.Float64bits(imag(b.Data[i]))
-		if ar != br || ai != bi {
-			t.Fatalf("bin %d differs between identical transforms: %v vs %v", i, a.Data[i], b.Data[i])
-		}
+	if i, ok := bitsEqual(a, b); !ok {
+		t.Fatalf("bin %d differs between identical transforms: %v vs %v", i, at(a, i), at(b, i))
 	}
 }
 
@@ -118,25 +125,22 @@ func TestIFFT2DBandLimitedMatchesFull(t *testing.T) {
 	rnd := rand.New(rand.NewSource(5))
 	const nx, ny = 32, 64
 	rows := []int{0, 1, 2, 3, 60, 61, 62, 63} // band around DC with wraparound
-	g := NewGrid(nx, ny)
+	g := NewFGrid(nx, ny)
 	for _, iy := range rows {
 		for ix := 0; ix < nx; ix++ {
 			g.Set(ix, iy, complex(rnd.NormFloat64(), rnd.NormFloat64()))
 		}
 	}
-	full := g.Clone()
+	full := cloneGrid(g)
 	if err := full.IFFT2D(); err != nil {
 		t.Fatal(err)
 	}
 	if err := g.IFFT2DBandLimited(rows); err != nil {
 		t.Fatal(err)
 	}
-	for i := range g.Data {
-		if math.Float64bits(real(g.Data[i])) != math.Float64bits(real(full.Data[i])) ||
-			math.Float64bits(imag(g.Data[i])) != math.Float64bits(imag(full.Data[i])) {
-			t.Fatalf("band-limited inverse differs from full at %d: %v vs %v",
-				i, g.Data[i], full.Data[i])
-		}
+	if i, ok := bitsEqual(g, full); !ok {
+		t.Fatalf("band-limited inverse differs from full at %d: %v vs %v",
+			i, at(g, i), at(full, i))
 	}
 }
 
@@ -147,7 +151,7 @@ func TestFFT2DBandSelectMatchesFull(t *testing.T) {
 	rnd := rand.New(rand.NewSource(6))
 	const nx, ny = 16, 32
 	g := randGrid(rnd, nx, ny)
-	full := g.Clone()
+	full := cloneGrid(g)
 	if err := full.FFT2D(); err != nil {
 		t.Fatal(err)
 	}
@@ -166,14 +170,14 @@ func TestFFT2DBandSelectMatchesFull(t *testing.T) {
 }
 
 func TestBandRowsValidation(t *testing.T) {
-	g := NewGrid(8, 8)
+	g := NewFGrid(8, 8)
 	if err := g.FFT2DBandSelect([]int{8}); err == nil {
 		t.Fatal("expected error for out-of-range band-select row")
 	}
 	if err := g.IFFT2DBandLimited([]int{-1}); err == nil {
 		t.Fatal("expected error for negative band-limited row")
 	}
-	ng := NewGrid(3, 8)
+	ng := NewFGrid(3, 8)
 	if err := ng.FFT2DBandSelect(nil); err == nil {
 		t.Fatal("expected error for non-power-of-two grid")
 	}
@@ -183,24 +187,24 @@ func TestBandRowsValidation(t *testing.T) {
 }
 
 func TestBorrowGridReuse(t *testing.T) {
-	g := BorrowGrid(16, 8)
-	if g.Nx != 16 || g.Ny != 8 || len(g.Data) != 128 {
-		t.Fatalf("borrowed grid has wrong shape: %dx%d len %d", g.Nx, g.Ny, len(g.Data))
+	g := BorrowFGrid(16, 8)
+	if g.Nx != 16 || g.Ny != 8 || len(g.Re) != 128 || len(g.Im) != 128 {
+		t.Fatalf("borrowed grid has wrong shape: %dx%d len %d/%d", g.Nx, g.Ny, len(g.Re), len(g.Im))
 	}
 	g.Set(3, 2, 42)
-	ReturnGrid(g)
-	// A smaller borrow may reuse the same backing array; contents are
+	ReturnFGrid(g)
+	// A smaller borrow may reuse the same backing arrays; contents are
 	// unspecified, but the shape must be exact.
-	h := BorrowGrid(8, 8)
-	if h.Nx != 8 || h.Ny != 8 || len(h.Data) != 64 {
-		t.Fatalf("reborrowed grid has wrong shape: %dx%d len %d", h.Nx, h.Ny, len(h.Data))
+	h := BorrowFGrid(8, 8)
+	if h.Nx != 8 || h.Ny != 8 || len(h.Re) != 64 || len(h.Im) != 64 {
+		t.Fatalf("reborrowed grid has wrong shape: %dx%d len %d/%d", h.Nx, h.Ny, len(h.Re), len(h.Im))
 	}
 	h.Clear()
-	for i, v := range h.Data {
-		if v != 0 {
+	for i := range h.Re {
+		if v := at(h, i); v != 0 {
 			t.Fatalf("Clear left %v at %d", v, i)
 		}
 	}
-	ReturnGrid(h)
-	ReturnGrid(nil) // must not panic
+	ReturnFGrid(h)
+	ReturnFGrid(nil) // must not panic
 }

@@ -96,8 +96,8 @@ func swapSpans(a, b []float64) {
 }
 
 // fftLinePlanes runs the in-place radix-2 transform over one contiguous
-// line stored as re/im planes, applying the inverse 1/N scaling exactly as
-// the public IFFT does. Per element the float operation sequence is
+// line stored as re/im planes, applying the inverse 1/N scaling when
+// inverse is set. Per element the float operation sequence is
 // identical to the historical complex128 implementation: the butterfly
 // stages run in the same (stage, start, k) order through vek.ButterflyRow,
 // and the scaling mirrors x /= complex(n, 0) through vek.ScaleInv.
@@ -143,46 +143,35 @@ const columnBlockW = 16
 //
 //postopc:allocfree
 func fftColumnsBlockedPlanes(re, im []float64, nx int, p *plan, inverse bool) {
+	n := p.n // number of rows
+	twRe, twIm := p.twiddlePlanes(inverse)
 	for c0 := 0; c0 < nx; c0 += columnBlockW {
 		cw := columnBlockW
 		if nx-c0 < cw {
 			cw = nx - c0
 		}
-		fftColumnsBlockPlanes(re, im, nx, p, inverse, c0, cw)
-	}
-}
-
-// fftColumnsBlockPlanes runs the full butterfly of columns [c0, c0+cw) —
-// one block of fftColumnsBlockedPlanes. Columns are independent, so
-// executing blocks in any order (or interleaved across several grids, as
-// BatchPlan does) leaves every column's float sequence — and therefore its
-// result — unchanged.
-//
-//postopc:allocfree
-func fftColumnsBlockPlanes(re, im []float64, nx int, p *plan, inverse bool, c0, cw int) {
-	n := p.n // number of rows
-	for i, j := range p.rev {
-		if int(j) > i {
-			ri := i*nx + c0
-			rj := int(j)*nx + c0
-			swapSpans(re[ri:ri+cw], re[rj:rj+cw])
-			swapSpans(im[ri:ri+cw], im[rj:rj+cw])
+		for i, j := range p.rev {
+			if int(j) > i {
+				ri := i*nx + c0
+				rj := int(j)*nx + c0
+				swapSpans(re[ri:ri+cw], re[rj:rj+cw])
+				swapSpans(im[ri:ri+cw], im[rj:rj+cw])
+			}
 		}
-	}
-	twRe, twIm := p.twiddlePlanes(inverse)
-	for s := range twRe {
-		size := 2 << uint(s)
-		half := size >> 1
-		sRe, sIm := twRe[s], twIm[s]
-		for start := 0; start < n; start += size {
-			base := start*nx + c0
-			for k := range sRe {
-				r1 := base + k*nx
-				r2 := r1 + half*nx
-				vek.ButterflyCol(
-					re[r1:r1+cw:r1+cw], im[r1:r1+cw:r1+cw],
-					re[r2:r2+cw:r2+cw], im[r2:r2+cw:r2+cw],
-					sRe[k], sIm[k])
+		for s := range twRe {
+			size := 2 << uint(s)
+			half := size >> 1
+			sRe, sIm := twRe[s], twIm[s]
+			for start := 0; start < n; start += size {
+				base := start*nx + c0
+				for k := range sRe {
+					r1 := base + k*nx
+					r2 := r1 + half*nx
+					vek.ButterflyCol(
+						re[r1:r1+cw:r1+cw], im[r1:r1+cw:r1+cw],
+						re[r2:r2+cw:r2+cw], im[r2:r2+cw:r2+cw],
+						sRe[k], sIm[k])
+				}
 			}
 		}
 	}

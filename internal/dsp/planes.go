@@ -6,15 +6,12 @@ import (
 	"postopc/internal/dsp/vek"
 )
 
-// FGrid is a dense Nx × Ny complex field stored as structure-of-arrays
-// float64 planes (row-major, like Grid.Data) — the native representation of
-// the vek kernel layer. The imaging hot path works on FGrids end to end so
-// no interleave/deinterleave staging happens per transform; Grid remains
-// the interchange representation for everything else.
-//
-// An FGrid and a Grid holding the same values transform to bit-identical
-// results: every plane kernel performs the exact float operation sequence
-// of the complex128 code it replaced (see package vek).
+// FGrid is a dense Nx × Ny complex field stored row-major as
+// structure-of-arrays float64 planes — the working representation for mask
+// spectra and aerial fields, and the native representation of the vek
+// kernel layer. Every plane kernel performs, per element, the exact float
+// operation sequence of the equivalent complex128 arithmetic (see package
+// vek).
 type FGrid struct {
 	Nx, Ny int
 	Re, Im []float64
@@ -49,23 +46,8 @@ func (f *FGrid) Clear() {
 	vek.Zero(f.Im)
 }
 
-// LoadGrid deinterleaves g into the planes. Sizes must match.
-//
-//postopc:allocfree
-func (f *FGrid) LoadGrid(g *Grid) {
-	vek.Split(f.Re, f.Im, g.Data)
-}
-
-// StoreGrid interleaves the planes back into g. Sizes must match.
-//
-//postopc:allocfree
-func (f *FGrid) StoreGrid(g *Grid) {
-	vek.Join(g.Data, f.Re, f.Im)
-}
-
 // FFT2D performs an in-place forward 2-D FFT over the plane grid. Both
-// dimensions must be powers of two. Bit-identical to Grid.FFT2D on the
-// same values.
+// dimensions must be powers of two.
 func (f *FGrid) FFT2D() error { return f.fft2d(false) }
 
 // IFFT2D performs an in-place inverse 2-D FFT (scaled) over the plane grid.
@@ -90,8 +72,13 @@ func (f *FGrid) fft2d(inverse bool) error {
 // listed spectrum rows: the column pass runs in full, then the row pass
 // runs on those rows only. On the listed rows the result equals a full
 // separable transform; every other row is left partially transformed and
-// must not be read. Bit-identical to Grid.FFT2DBandSelect on the same
-// values (including the pass order caveat documented there).
+// must not be read. Band-limited consumers (a pupil filter that reads a
+// handful of spectrum rows) use this to skip most of the row pass.
+//
+// Note the pass order (columns, then rows) is the transpose of FFT2D's;
+// the two factorizations agree mathematically but differ in floating-point
+// rounding, so a caller must not mix values from both paths and expect
+// byte equality.
 func (f *FGrid) FFT2DBandSelect(rows []int) error {
 	if !IsPow2(f.Nx) || !IsPow2(f.Ny) {
 		return fmt.Errorf("dsp: grid %dx%d not power-of-two", f.Nx, f.Ny)

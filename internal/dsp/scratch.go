@@ -3,7 +3,7 @@ package dsp
 import "sync"
 
 // Grid pooling for the imaging hot path: a window simulation needs two
-// full-size complex grids (transmission/spectrum and per-source-point work
+// full-size plane grids (transmission/spectrum and per-source-point work
 // field) per call, and steady-state full-chip runs simulate thousands of
 // equally-sized windows. Borrow/Return recycles the backing arrays so those
 // calls allocate nothing after warm-up.
@@ -13,41 +13,11 @@ import "sync"
 // or Clear before reading, which also keeps results independent of pool
 // history.
 
-var gridPool sync.Pool
-
-// BorrowGrid returns an Nx × Ny grid from the pool, allocating only when no
-// pooled grid is large enough. Contents are unspecified.
-//
-//postopc:allocfree
-func BorrowGrid(nx, ny int) *Grid {
-	g, _ := gridPool.Get().(*Grid)
-	if g == nil {
-		return NewGrid(nx, ny) //postopc:nolint:allocbudget pool miss before warm-up is the cold path
-	}
-	n := nx * ny
-	if cap(g.Data) < n {
-		g.Data = make([]complex128, n) //postopc:nolint:allocbudget regrowth at a new window size is the cold path
-	}
-	g.Nx, g.Ny = nx, ny
-	g.Data = g.Data[:n]
-	return g
-}
-
-// ReturnGrid puts g back into the pool. The caller must not use g (or
-// slices of its Data) afterwards.
-//
-//postopc:allocfree
-func ReturnGrid(g *Grid) {
-	if g != nil {
-		gridPool.Put(g)
-	}
-}
-
 var fgridPool sync.Pool
 
 // BorrowFGrid returns an Nx × Ny plane grid from the pool, allocating only
 // when no pooled grid is large enough. Contents are unspecified — callers
-// must overwrite, Clear, or LoadGrid before reading.
+// must overwrite or Clear before reading.
 //
 //postopc:allocfree
 func BorrowFGrid(nx, ny int) *FGrid {

@@ -55,9 +55,6 @@ type RunOptions struct {
 	TagTopK int
 	// Workers bounds extraction concurrency (0 = GOMAXPROCS, 1 = serial).
 	Workers int
-	// Batch > 1 routes extraction through the batched window pipeline in
-	// groups of Batch windows (see ExtractOptions.Batch).
-	Batch int
 }
 
 // RunResult is the pipeline outcome.
@@ -113,7 +110,7 @@ func (f *Flow) Run(n *netlist.Netlist, opt RunOptions) (*RunResult, error) {
 	if opt.TagTopK > 0 {
 		tagged = drawn.CriticalGates(opt.TagTopK)
 	}
-	extrs, err := f.ExtractGates(pl.Chip, tagged, ExtractOptions{Corners: opt.Corners, Mode: opt.Mode, Workers: opt.Workers, Batch: opt.Batch})
+	extrs, err := f.ExtractGates(pl.Chip, tagged, ExtractOptions{Corners: opt.Corners, Mode: opt.Mode, Workers: opt.Workers})
 	if err != nil {
 		return nil, err
 	}

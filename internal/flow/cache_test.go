@@ -117,6 +117,41 @@ func TestCacheSharesRepeatedContexts(t *testing.T) {
 	}
 }
 
+// TestPerWindowCacheSingleFlight: however many workers race over one
+// cached extraction, each unique window signature is computed exactly once
+// (the serial run's miss count), and a second pass recomputes nothing.
+func TestPerWindowCacheSingleFlight(t *testing.T) {
+	design := netlist.InverterChain(8)
+	serial := newFastFlow(t).EnableCache(0)
+	pl, err := serial.Place(design, place.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := serial.ExtractGates(pl.Chip, nil, ExtractOptions{Mode: OPCModel, Workers: 1}); err != nil {
+		t.Fatal(err)
+	}
+	unique := serial.CacheStats().Misses
+	if unique == 0 {
+		t.Fatal("fixture broken: serial cached run missed nothing")
+	}
+	for _, w := range []int{2, runtime.GOMAXPROCS(0)} {
+		f := newFastFlow(t).EnableCache(0)
+		opt := ExtractOptions{Mode: OPCModel, Workers: w}
+		if _, err := f.ExtractGates(pl.Chip, nil, opt); err != nil {
+			t.Fatal(err)
+		}
+		if st := f.CacheStats(); st.Misses != unique {
+			t.Fatalf("workers=%d: %d misses, want %d (single-flight violated)", w, st.Misses, unique)
+		}
+		if _, err := f.ExtractGates(pl.Chip, nil, opt); err != nil {
+			t.Fatal(err)
+		}
+		if st := f.CacheStats(); st.Misses != unique {
+			t.Fatalf("workers=%d: second pass recomputed (%d misses, want %d)", w, st.Misses, unique)
+		}
+	}
+}
+
 // TestVerifyChipCachedMatchesUncached: tiled ORC must produce an identical
 // report with the cache attached.
 func TestVerifyChipCachedMatchesUncached(t *testing.T) {

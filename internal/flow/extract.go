@@ -68,13 +68,6 @@ type ExtractOptions struct {
 	// Workers bounds instance-level concurrency in ExtractGates
 	// (0 = GOMAXPROCS, 1 = serial).
 	Workers int
-	// Batch groups windows through the staged batch pipeline (batch.go):
-	// Batch > 1 streams windows in groups of Batch through overlapping
-	// prep → kernel → post stages, amortizing FFT plans and scratch across
-	// each group. Results are byte-identical to the per-window path.
-	// <= 1 keeps the per-window fork-join. Like Workers, Batch is a
-	// scheduling knob and never enters cache signatures.
-	Batch int
 }
 
 // ExtractInstance runs the staged window pipeline for one placed instance:
@@ -101,7 +94,7 @@ func (f *Flow) ExtractInstance(chip *layout.Chip, inst *layout.Instance, opt Ext
 func (f *Flow) extractInstance(env *stageEnv, chip *layout.Chip, inst *layout.Instance, opt ExtractOptions, idx, worker int, parent obs.SpanID) (*GateExtraction, error) {
 	var rec *obs.WindowRecord
 	if env.jrn != nil {
-		rec = &obs.WindowRecord{Index: idx, Kind: "window", Class: "compute", Batch: -1, Worker: worker}
+		rec = &obs.WindowRecord{Index: idx, Kind: "window", Class: "compute", Worker: worker}
 		defer env.jrn.Record(rec)
 	}
 	sites := inst.GateSites()
@@ -110,20 +103,17 @@ func (f *Flow) extractInstance(env *stageEnv, chip *layout.Chip, inst *layout.In
 	}
 	recipe := env.Verify.Recipe()
 	ambit := recipe.GuardNM + env.PitchNM
-	sp := env.obs.StartChild("stage.clip", parent)
-	t0 := env.met.clip.StartTimer()
+	t := env.begin(obs.StageClip, parent)
 	window := cdx.WindowOf(sites, ambit)
 	clip := stageClip(chip, window)
-	rec.Observe(obs.StageClip, env.met.clip.TimedSince(t0))
-	sp.End()
+	t.end(rec)
 	if len(clip.Polys) == 0 {
 		return nil, fmt.Errorf("flow: no poly in window of %s", inst.Name)
 	}
 	// Canonicalize the sites to match the clip: cell-local names,
 	// window-relative channels. Instance identity must not reach the
 	// artifact — it would defeat both caching and determinism.
-	sp = env.obs.StartChild("stage.canonicalize", parent)
-	t0 = env.met.canonicalize.StartTimer()
+	t = env.begin(obs.StageCanonicalize, parent)
 	csites := make([]layout.GateSite, len(sites))
 	for i, s := range sites {
 		csites[i] = layout.GateSite{
@@ -133,8 +123,7 @@ func (f *Flow) extractInstance(env *stageEnv, chip *layout.Chip, inst *layout.In
 			Channel: s.Channel.Translate(geom.Pt(-clip.Origin.X, -clip.Origin.Y)),
 		}
 	}
-	rec.Observe(obs.StageCanonicalize, env.met.canonicalize.TimedSince(t0))
-	sp.End()
+	t.end(rec)
 	art, err := f.cachedWindow(env, clip, csites, opt.Corners, rec, parent)
 	if err != nil {
 		return nil, fmt.Errorf("flow: window of %s: %w", inst.Name, err)
@@ -215,7 +204,6 @@ func (f *Flow) ExtractGates(chip *layout.Chip, names []string, opt ExtractOption
 	if j := f.Obs.Ledger(); j != nil {
 		j.SetField("flow.extract.mode", opt.Mode.String())
 		j.SetField("flow.extract.workers", strconv.Itoa(opt.Workers))
-		j.SetField("flow.extract.batch", strconv.Itoa(opt.Batch))
 		j.SetField("flow.extract.corners", strconv.Itoa(len(opt.Corners)))
 		j.SetField("flow.extract.gates", strconv.Itoa(len(names)))
 		if f.Cache != nil {
@@ -227,18 +215,14 @@ func (f *Flow) ExtractGates(chip *layout.Chip, names []string, opt ExtractOption
 
 	sp := f.Obs.Start("flow.extract")
 	exts := make([]*GateExtraction, len(names))
-	if opt.Batch > 1 {
-		err = f.extractGatesBatched(env, chip, insts, opt, exts, sp.ID())
-	} else {
-		err = par.ForEachWorker(len(names), func(w, i int) error {
-			ext, err := f.extractInstance(env, chip, insts[i], opt, i, w, sp.ID())
-			if err != nil {
-				return err
-			}
-			exts[i] = ext
-			return nil
-		}, par.Workers(opt.Workers), par.Obs(f.Obs))
-	}
+	err = par.ForEachWorker(len(names), func(w, i int) error {
+		ext, err := f.extractInstance(env, chip, insts[i], opt, i, w, sp.ID())
+		if err != nil {
+			return err
+		}
+		exts[i] = ext
+		return nil
+	}, par.Workers(opt.Workers), par.Obs(f.Obs))
 	sp.End()
 	if err != nil {
 		return nil, err

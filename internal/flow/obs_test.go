@@ -50,28 +50,23 @@ func TestRunObsDeterminism(t *testing.T) {
 	}
 
 	// The run-ledger extension of the same contract: a journal + flight
-	// recorder must not perturb a bit either, across the worker × batch ×
-	// cache grid (the batched path stamps records in different stages than
-	// the per-window path, so both are exercised).
+	// recorder must not perturb a bit either, across the worker × cache
+	// grid.
 	for _, cached := range []bool{false, true} {
 		for _, workers := range []int{1, 4} {
-			for _, batch := range []int{0, 3} {
-				f := newFastFlow(t)
-				if cached {
-					f.EnableCache(0)
-				}
-				sink := obs.NewSink().WithJournal(0).WithFlightRecorder(64)
-				f.EnableObs(sink)
-				o := opts(workers)
-				o.Batch = batch
-				res, err := f.Run(design, o)
-				if err != nil {
-					t.Fatalf("ledger cached=%v workers=%d batch=%d: %v", cached, workers, batch, err)
-				}
-				if got := renderRun(res); got != want {
-					t.Fatalf("ledger cached=%v workers=%d batch=%d: ledger-on run rendered differently:\n--- want ---\n%s--- got ---\n%s",
-						cached, workers, batch, want, got)
-				}
+			f := newFastFlow(t)
+			if cached {
+				f.EnableCache(0)
+			}
+			sink := obs.NewSink().WithJournal(0).WithFlightRecorder(64)
+			f.EnableObs(sink)
+			res, err := f.Run(design, opts(workers))
+			if err != nil {
+				t.Fatalf("ledger cached=%v workers=%d: %v", cached, workers, err)
+			}
+			if got := renderRun(res); got != want {
+				t.Fatalf("ledger cached=%v workers=%d: ledger-on run rendered differently:\n--- want ---\n%s--- got ---\n%s",
+					cached, workers, want, got)
 			}
 		}
 	}
@@ -90,7 +85,6 @@ func TestRunLedgerCoverage(t *testing.T) {
 		STA:     sta.DefaultConfig(1500),
 		Mode:    OPCModel,
 		Workers: 2,
-		Batch:   3,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -116,9 +110,6 @@ func TestRunLedgerCoverage(t *testing.T) {
 		if w.Sig == "" {
 			t.Errorf("window %d has no signature", w.Index)
 		}
-		if w.Batch < 0 {
-			t.Errorf("batched run: window %d carries batch %d", w.Index, w.Batch)
-		}
 		if w.Class == "miss" && w.Total <= 0 {
 			t.Errorf("computed window %d has no stage latencies", w.Index)
 		}
@@ -137,7 +128,7 @@ func TestRunLedgerCoverage(t *testing.T) {
 	}
 
 	for _, k := range []string{
-		"flow.extract.mode", "flow.extract.workers", "flow.extract.batch",
+		"flow.extract.mode", "flow.extract.workers",
 		"flow.extract.gates", "flow.cache.entries", "flow.env.model",
 	} {
 		if led.Fields[k] == "" {
@@ -216,5 +207,25 @@ func TestRunObsCoverage(t *testing.T) {
 		if hists[name] == 0 {
 			t.Errorf("histogram %q recorded no observations", name)
 		}
+	}
+}
+
+// TestStageTimerZeroAlloc: timing a stage allocates nothing, with
+// telemetry off and with live histograms feeding a ledger record — the
+// timer is a plain value and every handle it touches is allocation-free.
+func TestStageTimerZeroAlloc(t *testing.T) {
+	var off stageEnv
+	on := stageEnv{met: newStageMetrics(&obs.Sink{Metrics: obs.NewRegistry()})}
+	rec := &obs.WindowRecord{}
+	if n := testing.AllocsPerRun(1000, func() {
+		tm := off.begin(obs.StageOPC, 0)
+		tm.end(nil)
+		tm = on.begin(obs.StageImage, 0)
+		tm.end(rec)
+	}); n != 0 {
+		t.Fatalf("stage timing costs %v allocs/op, want 0", n)
+	}
+	if rec.NS[obs.StageImage] <= 0 {
+		t.Fatal("live stage timer recorded nothing on the ledger record")
 	}
 }

@@ -90,12 +90,6 @@ type ORCOptions struct {
 	// The report is identical for every worker count: tiles are merged in
 	// row-major order before hotspots are sorted.
 	Workers int
-	// Batch groups tiles through the staged batch pipeline (batch.go):
-	// Batch > 1 streams tiles in groups of Batch through overlapping
-	// prep → kernel → post stages. The report is byte-identical to the
-	// per-tile path. <= 1 keeps the per-tile fork-join. Like Workers,
-	// Batch is a scheduling knob and never enters cache signatures.
-	Batch int
 }
 
 // ORCReport is the outcome of VerifyChip.
@@ -156,24 +150,19 @@ func (f *Flow) VerifyChip(chip *layout.Chip, opt ORCOptions) (*ORCReport, error)
 	if j := f.Obs.Ledger(); j != nil {
 		j.SetField("flow.orc.mode", opt.Mode.String())
 		j.SetField("flow.orc.workers", strconv.Itoa(opt.Workers))
-		j.SetField("flow.orc.batch", strconv.Itoa(opt.Batch))
 		j.SetField("flow.orc.corners", strconv.Itoa(len(opt.Corners)))
 		j.SetField("flow.orc.tiles", strconv.Itoa(len(tiles)))
 	}
 	sp := f.Obs.Start("flow.orc")
 	shards := make([]*ORCReport, len(tiles))
-	if opt.Batch > 1 {
-		err = f.verifyChipBatched(env, chip, tiles, guard, opt, scan, shards, sp.ID())
-	} else {
-		err = par.ForEachWorker(len(tiles), func(w, i int) error {
-			shard := &ORCReport{ByKind: map[HotspotKind]int{}}
-			if err := f.verifyTile(env, chip, tiles[i], guard, opt.Corners, scan, shard, i, w, sp.ID()); err != nil {
-				return err
-			}
-			shards[i] = shard
-			return nil
-		}, par.Workers(opt.Workers), par.Obs(f.Obs))
-	}
+	err = par.ForEachWorker(len(tiles), func(w, i int) error {
+		shard := &ORCReport{ByKind: map[HotspotKind]int{}}
+		if err := f.verifyTile(env, chip, tiles[i], guard, opt.Corners, scan, shard, i, w, sp.ID()); err != nil {
+			return err
+		}
+		shards[i] = shard
+		return nil
+	}, par.Workers(opt.Workers), par.Obs(f.Obs))
 	sp.End()
 	if err != nil {
 		return nil, err
@@ -207,15 +196,13 @@ func (f *Flow) verifyTile(env *stageEnv, chip *layout.Chip, tile geom.Rect, guar
 	corners []litho.Corner, scan orcScanOptions, rep *ORCReport, idx, worker int, parent obs.SpanID) error {
 	var rec *obs.WindowRecord
 	if env.jrn != nil {
-		rec = &obs.WindowRecord{Index: idx, Kind: "tile", Class: "compute", Batch: -1, Worker: worker}
+		rec = &obs.WindowRecord{Index: idx, Kind: "tile", Class: "compute", Worker: worker}
 		defer env.jrn.Record(rec)
 	}
 	window := tile.Expand(guard + env.PitchNM)
-	sp := env.obs.StartChild("stage.clip", parent)
-	t0 := env.met.clip.StartTimer()
+	t := env.begin(obs.StageClip, parent)
 	origin, rects := chip.CanonicalWindowRects(layout.LayerPoly, window)
-	rec.Observe(obs.StageClip, env.met.clip.TimedSince(t0))
-	sp.End()
+	t.end(rec)
 	if len(rects) == 0 {
 		return nil
 	}

@@ -6,12 +6,16 @@ package flow
 
 import (
 	"reflect"
+	"runtime"
+	"sort"
+	"strings"
 	"sync"
 	"testing"
 
 	"postopc/internal/geom"
 	"postopc/internal/litho"
 	"postopc/internal/netlist"
+	"postopc/internal/obs"
 	"postopc/internal/opc"
 	"postopc/internal/pdk"
 	"postopc/internal/place"
@@ -72,6 +76,79 @@ func TestExtractGatesParallelMatchesSerial(t *testing.T) {
 	}
 	if !reflect.DeepEqual(serial, parallel) {
 		t.Fatal("parallel extraction diverged from serial")
+	}
+}
+
+// TestPerWindowPoolBalance runs cached extraction and ORC on two workers
+// with the litho scratch pools instrumented and asserts every borrow was
+// returned: each window hands its raster and kernel scratch back, whichever
+// worker ran it.
+func TestPerWindowPoolBalance(t *testing.T) {
+	sink := obs.NewSink()
+	litho.InstrumentPools(sink)
+	defer litho.InstrumentPools(nil)
+
+	f := newFastFlow(t).EnableCache(0)
+	pl, err := f.Place(netlist.InverterChain(6), place.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.ExtractGates(pl.Chip, nil, ExtractOptions{Mode: OPCModel, Workers: 2}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.VerifyChip(pl.Chip, ORCOptions{
+		Corners: []litho.Corner{{DefocusNM: 0, Dose: 1.8}},
+		TileNM:  3000,
+		Workers: 2,
+	}); err != nil {
+		t.Fatal(err)
+	}
+	borrows := sink.Counter("litho.pool_borrows_total").Value()
+	returns := sink.Counter("litho.pool_returns_total").Value()
+	if borrows == 0 {
+		t.Fatal("pools saw no traffic: instrumentation broken")
+	}
+	if borrows != returns {
+		t.Fatalf("pool borrow/return imbalance: %d borrowed, %d returned", borrows, returns)
+	}
+}
+
+// TestPerWindowErrorParity: when several windows fail, ExtractGates returns
+// the error of the lowest-index failing window (names are sorted, so the
+// alphabetically first failing instance) at every worker count — the same
+// error a serial loop surfaces.
+func TestPerWindowErrorParity(t *testing.T) {
+	f := fastFlow(t)
+	// A low utilization pads the rows with several fill cells.
+	pl, err := f.Place(netlist.InverterChain(4), place.Options{Utilization: 0.5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Instances without gate sites (fill cells) fail their window; two of
+	// them make the lowest-index choice observable.
+	var bad []string
+	for i := range pl.Chip.Instances {
+		if in := &pl.Chip.Instances[i]; len(in.Cell.Gates) == 0 {
+			bad = append(bad, in.Name)
+		}
+	}
+	if len(bad) < 2 {
+		t.Fatalf("fixture too weak: %d gateless instances, want >= 2", len(bad))
+	}
+	sort.Strings(bad)
+	names := []string{"u1", bad[1], "u2", bad[0], "u3"}
+	_, wantErr := f.ExtractGates(pl.Chip, names, ExtractOptions{Mode: OPCNone, Workers: 1})
+	if wantErr == nil {
+		t.Fatal("serial extraction accepted a gateless instance")
+	}
+	if !strings.Contains(wantErr.Error(), " "+bad[0]+" ") {
+		t.Fatalf("serial error %q does not name the lowest failing instance %s", wantErr, bad[0])
+	}
+	for _, w := range []int{1, 2, runtime.GOMAXPROCS(0)} {
+		_, gotErr := f.ExtractGates(pl.Chip, names, ExtractOptions{Mode: OPCNone, Workers: w})
+		if gotErr == nil || gotErr.Error() != wantErr.Error() {
+			t.Fatalf("workers=%d: error = %v, want %v", w, gotErr, wantErr)
+		}
 	}
 }
 

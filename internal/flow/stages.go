@@ -63,22 +63,46 @@ type stageEnv struct {
 	jrn *obs.Journal //postopc:keyignore telemetry observes the computation without being an input
 }
 
-// stageMetrics are the pre-resolved per-stage latency histograms of one
-// environment. All handles are nil (no-ops) when telemetry is off.
+// stageMetrics are the pre-resolved per-stage telemetry handles of one
+// environment, indexed by obs.StageID: the latency histograms (nil no-ops
+// when telemetry is off) and the trace span names.
 type stageMetrics struct {
-	clip, canonicalize, opc, image, contour, profile *obs.Histogram
+	hist [obs.NumStages]*obs.Histogram
+	span [obs.NumStages]string
 }
 
-// newStageMetrics resolves the per-stage histograms from the sink.
+// newStageMetrics resolves the per-stage histograms from the sink and
+// names the stage spans.
 func newStageMetrics(sink *obs.Sink) stageMetrics {
-	return stageMetrics{
-		clip:         sink.LatencyHistogram("flow.stage.clip_ns"),
-		canonicalize: sink.LatencyHistogram("flow.stage.canonicalize_ns"),
-		opc:          sink.LatencyHistogram("flow.stage.opc_ns"),
-		image:        sink.LatencyHistogram("flow.stage.image_ns"),
-		contour:      sink.LatencyHistogram("flow.stage.contour_ns"),
-		profile:      sink.LatencyHistogram("flow.stage.profile_ns"),
+	var m stageMetrics
+	for st := obs.StageID(0); st < obs.NumStages; st++ {
+		m.hist[st] = sink.LatencyHistogram("flow.stage." + st.String() + "_ns")
+		m.span[st] = "stage." + st.String()
 	}
+	return m
+}
+
+// stageTimer is one in-flight stage measurement, opened by stageEnv.begin
+// and closed by end. It is a plain value: timing a stage allocates
+// nothing, and with telemetry off it never reads the clock.
+type stageTimer struct {
+	sp obs.Span
+	h  *obs.Histogram
+	st obs.StageID
+	t0 int64
+}
+
+// begin opens stage st's span under parent and starts its latency timer.
+func (env *stageEnv) begin(st obs.StageID, parent obs.SpanID) stageTimer {
+	h := env.met.hist[st]
+	return stageTimer{sp: env.obs.StartChild(env.met.span[st], parent), h: h, st: st, t0: h.StartTimer()}
+}
+
+// end records the stage's duration on its histogram and on rec (the
+// window's ledger record, nil when no ledger), then ends its span.
+func (t stageTimer) end(rec *obs.WindowRecord) {
+	rec.Observe(t.st, t.h.TimedSince(t.t0))
+	t.sp.End()
 }
 
 // WindowArtifact is the outcome of one window's OPC → image → contour →
@@ -239,31 +263,29 @@ func stageProfile(env *stageEnv, gates [][]cdx.GateCD, sites []layout.GateSite, 
 	return out
 }
 
-// stageWindowOPC runs the OPC half of one window's chain (with its span
-// and timer) — shared verbatim by the per-window and batched paths so the
-// corrected mask and EPE samples are byte-identical between them. rec
-// receives the stage's duration for the run ledger (nil when no ledger).
-func stageWindowOPC(env *stageEnv, clip layout.CanonicalWindow, rec *obs.WindowRecord, parent obs.SpanID) (mask []geom.Polygon, epeValues []float64, err error) {
+// stageWindow chains OPC → image → contour → profile over one canonical
+// clip: the unit of work the pattern cache memoizes for gate extraction.
+// parent is the telemetry span the stage spans nest under (0 when tracing
+// is off or the caller has no enclosing span); rec receives the stage
+// durations for the run ledger (nil when no ledger).
+func stageWindow(env *stageEnv, clip layout.CanonicalWindow, sites []layout.GateSite, corners []litho.Corner, rec *obs.WindowRecord, parent obs.SpanID) (*WindowArtifact, error) {
 	guard := env.Verify.Recipe().GuardNM
-	sp := env.obs.StartChild("stage.opc", parent)
-	t0 := env.met.opc.StartTimer()
-	mask, epeValues, err = stageOPC(env, clip.Polys, clip.Bounds.Expand(-guard), true)
-	rec.Observe(obs.StageOPC, env.met.opc.TimedSince(t0))
-	sp.End()
-	return mask, epeValues, err
-}
-
-// stageWindowArtifact runs the contour → profile half of one window's chain
-// over already-computed corner images — shared verbatim by the per-window
-// and batched paths.
-func stageWindowArtifact(env *stageEnv, imgs []*litho.Image, sites []layout.GateSite, corners []litho.Corner, epeValues []float64, rec *obs.WindowRecord, parent obs.SpanID) *WindowArtifact {
-	sp := env.obs.StartChild("stage.contour", parent)
-	t0 := env.met.contour.StartTimer()
+	t := env.begin(obs.StageOPC, parent)
+	mask, epeValues, err := stageOPC(env, clip.Polys, clip.Bounds.Expand(-guard), true)
+	t.end(rec)
+	if err != nil {
+		return nil, err
+	}
+	t = env.begin(obs.StageImage, parent)
+	imgs, err := stageImage(env, mask, clip.Bounds, corners)
+	t.end(rec)
+	if err != nil {
+		return nil, err
+	}
+	t = env.begin(obs.StageContour, parent)
 	gates := stageContour(env, imgs, sites, corners)
-	rec.Observe(obs.StageContour, env.met.contour.TimedSince(t0))
-	sp.End()
-	sp = env.obs.StartChild("stage.profile", parent)
-	t0 = env.met.profile.StartTimer()
+	t.end(rec)
+	t = env.begin(obs.StageProfile, parent)
 	art := &WindowArtifact{
 		Sites:     stageProfile(env, gates, sites, corners),
 		EPEValues: epeValues,
@@ -271,50 +293,31 @@ func stageWindowArtifact(env *stageEnv, imgs []*litho.Image, sites []layout.Gate
 	if env.Mode != OPCNone {
 		art.EPE = opc.SummarizeEPE(epeValues, 8)
 	}
-	rec.Observe(obs.StageProfile, env.met.profile.TimedSince(t0))
-	sp.End()
-	return art
+	t.end(rec)
+	return art, nil
 }
 
-// stageWindow chains OPC → image → contour → profile over one canonical
-// clip: the unit of work the pattern cache memoizes for gate extraction.
-// parent is the telemetry span the stage spans nest under (0 when tracing
-// is off or the caller has no enclosing span).
-func stageWindow(env *stageEnv, clip layout.CanonicalWindow, sites []layout.GateSite, corners []litho.Corner, rec *obs.WindowRecord, parent obs.SpanID) (*WindowArtifact, error) {
-	mask, epeValues, err := stageWindowOPC(env, clip, rec, parent)
-	if err != nil {
-		return nil, err
-	}
-	sp := env.obs.StartChild("stage.image", parent)
-	t0 := env.met.image.StartTimer()
-	imgs, err := stageImage(env, mask, clip.Bounds, corners)
-	rec.Observe(obs.StageImage, env.met.image.TimedSince(t0))
-	sp.End()
-	if err != nil {
-		return nil, err
-	}
-	return stageWindowArtifact(env, imgs, sites, corners, epeValues, rec, parent), nil
-}
-
-// stageTileMask runs the OPC half of one tile's chain (with its span and
-// timer) — shared verbatim by the per-tile and batched paths.
-func stageTileMask(env *stageEnv, rects []geom.Rect, rec *obs.WindowRecord, parent obs.SpanID) ([]geom.Polygon, error) {
+// stageTileScan is the ORC counterpart of stageWindow: OPC → image → pinch
+// / bridge / pullback scans over one canonical tile window. rects are the
+// canonical clipped poly rects, bounds the canonical window, tile the
+// canonical interior tile that owns the hotspots.
+func stageTileScan(env *stageEnv, rects []geom.Rect, bounds, tile geom.Rect, corners []litho.Corner, scan orcScanOptions, rec *obs.WindowRecord, parent obs.SpanID) (*TileArtifact, error) {
 	var drawn []geom.Polygon
 	for _, r := range rects {
 		drawn = append(drawn, r.Polygon())
 	}
-	sp := env.obs.StartChild("stage.opc", parent)
-	t0 := env.met.opc.StartTimer()
+	t := env.begin(obs.StageOPC, parent)
 	mask, _, err := stageOPC(env, drawn, geom.Rect{}, false)
-	rec.Observe(obs.StageOPC, env.met.opc.TimedSince(t0))
-	sp.End()
-	return mask, err
-}
-
-// stageTileArtifact runs the pinch / bridge / pullback scans of one tile
-// over already-computed corner images — shared verbatim by the per-tile and
-// batched paths.
-func stageTileArtifact(env *stageEnv, imgs []*litho.Image, rects []geom.Rect, tile geom.Rect, corners []litho.Corner, scan orcScanOptions) *TileArtifact {
+	t.end(rec)
+	if err != nil {
+		return nil, err
+	}
+	t = env.begin(obs.StageImage, parent)
+	imgs, err := stageImage(env, mask, bounds, corners)
+	t.end(rec)
+	if err != nil {
+		return nil, err
+	}
 	art := &TileArtifact{}
 	drawnRegion := geom.RegionFromRects(rects...).Normalize()
 	recipe := env.Verify.Recipe()
@@ -323,25 +326,5 @@ func stageTileArtifact(env *stageEnv, imgs []*litho.Image, rects []geom.Rect, ti
 		scanPinches(env, imgs[ci], rects, tile, th, corner, scan, art)
 		scanBridges(env, imgs[ci], rects, drawnRegion, tile, th, corner, scan, art)
 	}
-	return art
-}
-
-// stageTileScan is the ORC counterpart of stageWindow: OPC → image → pinch
-// / bridge / pullback scans over one canonical tile window. rects are the
-// canonical clipped poly rects, bounds the canonical window, tile the
-// canonical interior tile that owns the hotspots.
-func stageTileScan(env *stageEnv, rects []geom.Rect, bounds, tile geom.Rect, corners []litho.Corner, scan orcScanOptions, rec *obs.WindowRecord, parent obs.SpanID) (*TileArtifact, error) {
-	mask, err := stageTileMask(env, rects, rec, parent)
-	if err != nil {
-		return nil, err
-	}
-	sp := env.obs.StartChild("stage.image", parent)
-	t0 := env.met.image.StartTimer()
-	imgs, err := stageImage(env, mask, bounds, corners)
-	rec.Observe(obs.StageImage, env.met.image.TimedSince(t0))
-	sp.End()
-	if err != nil {
-		return nil, err
-	}
-	return stageTileArtifact(env, imgs, rects, tile, corners, scan), nil
+	return art, nil
 }

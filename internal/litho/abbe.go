@@ -153,7 +153,24 @@ func (a *Abbe) AerialSeries(mask *geom.Raster, corners []Corner) ([]*Image, erro
 	ny := dsp.NextPow2(mask.Ny)
 	px := float64(mask.Pixel)
 
-	sets, spectrumRows := a.resolveSets(nx, ny, px, corners)
+	// Filter sets for every unique defocus, fetched up front so the
+	// forward transform knows which spectrum rows the filters will read.
+	var spectrumRows []int
+	sets := make([]*filterSet, len(corners))
+	for ci, c := range corners {
+		dup := false
+		for _, p := range corners[:ci] {
+			if p.DefocusNM == c.DefocusNM {
+				dup = true
+				break
+			}
+		}
+		if dup {
+			continue
+		}
+		sets[ci] = a.filtersFor(nx, ny, px, c.DefocusNM)
+		spectrumRows = mergeRows(spectrumRows, sets[ci].unionRows)
+	}
 
 	// Transmission grid, padded with the polarity's background level.
 	bg := a.backgroundLevel()
@@ -167,37 +184,6 @@ func (a *Abbe) AerialSeries(mask *geom.Raster, corners []Corner) ([]*Image, erro
 
 	ks := borrowKernelScratch()
 	defer ks.release()
-	return a.imageCorners(t, mask, corners, sets, bg, ks)
-}
-
-// resolveSets fetches the filter set of every unique corner defocus up
-// front, so the forward transform knows which spectrum rows the filters
-// will read. sets[ci] is nil when an earlier corner shares the defocus (the
-// image is aliased there); rows is the ascending union of all resolved
-// sets' support rows.
-func (a *Abbe) resolveSets(nx, ny int, px float64, corners []Corner) (sets []*filterSet, rows []int) {
-	sets = make([]*filterSet, len(corners))
-	for ci, c := range corners {
-		dup := false
-		for _, p := range corners[:ci] {
-			if p.DefocusNM == c.DefocusNM {
-				dup = true
-				break
-			}
-		}
-		if dup {
-			continue
-		}
-		sets[ci] = a.filtersFor(nx, ny, px, c.DefocusNM)
-		rows = mergeRows(rows, sets[ci].unionRows)
-	}
-	return sets, rows
-}
-
-// imageCorners runs the filtered source sum of every corner over the
-// band-selected spectrum t, aliasing duplicate-defocus corners to the
-// earlier corner's image per the AerialSeries contract.
-func (a *Abbe) imageCorners(t *dsp.FGrid, mask *geom.Raster, corners []Corner, sets []*filterSet, bg float64, ks *kernelScratch) ([]*Image, error) {
 	order := make([]*Image, len(corners))
 	for ci, c := range corners {
 		if sets[ci] == nil { // duplicate defocus: alias the earlier image

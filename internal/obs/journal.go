@@ -9,9 +9,9 @@ import (
 
 // The run ledger: a structured, deterministic per-run artifact. A Journal
 // accumulates the run manifest (who ran, on what hardware, with which
-// cache/batch/worker configuration), one WindowRecord per extraction
-// window or ORC tile (signature, cache classification, per-stage
-// latencies, worker/batch attribution), and — at write time — the top-K
+// cache/worker configuration), one WindowRecord per extraction window or
+// ORC tile (signature, cache classification, per-stage latencies, worker
+// attribution), and — at write time — the top-K
 // slowest exemplars per stage. WriteLedger renders everything, together
 // with a metrics snapshot and the span trace, as JSON lines: one
 // self-describing object per line, each tagged with a "t" type field, in
@@ -54,7 +54,7 @@ func (st StageID) String() string {
 // Manifest identifies one run: the tool and its arguments, the host
 // environment, and the vector-kernel build/CPU capabilities. The cli
 // package fills it from the build info; flow adds run-shape fields
-// (workers, batch, corner grid, cache config, env fingerprint) through
+// (workers, corner grid, cache config, env fingerprint) through
 // Journal.SetField.
 type Manifest struct {
 	Tool        string   `json:"tool"`
@@ -74,14 +74,13 @@ type Manifest struct {
 // window never executed (cache hit, wait) stays 0. Class is the cache
 // classification: "compute" (no cache), "miss" (leader, computed and
 // published), "hit" (served from cache), "wait" (blocked on another
-// window's single-flight computation). Batch is -1 on the per-window
-// path; Worker is the pool slot that ran the window's kernel work.
+// window's single-flight computation). Worker is the pool slot that ran
+// the window.
 type WindowRecord struct {
 	Index  int
 	Kind   string // "window" | "tile"
 	Sig    string // hex cache signature ("" when signatures are off)
 	Class  string
-	Batch  int
 	Worker int
 	NS     [NumStages]int64
 }
@@ -139,7 +138,7 @@ func (j *Journal) SetManifest(m Manifest) {
 	j.mu.Unlock()
 }
 
-// SetField records one free-form manifest field ("flow.batch" → "8").
+// SetField records one free-form manifest field ("flow.workers" → "4").
 // Re-setting a key overwrites it; the written ledger sorts keys.
 func (j *Journal) SetField(key, value string) {
 	if j == nil {
@@ -179,8 +178,8 @@ type ledgerCounterLine struct {
 }
 
 type ledgerGaugeLine struct {
-	T     string `json:"t"`
-	Name  string `json:"name"`
+	T     string  `json:"t"`
+	Name  string  `json:"name"`
 	Value float64 `json:"v"`
 }
 
@@ -220,7 +219,6 @@ type ledgerWindowLine struct {
 	Index  int    `json:"i"`
 	Sig    string `json:"sig,omitempty"`
 	Class  string `json:"class"`
-	Batch  int    `json:"batch"`
 	Worker int    `json:"worker"`
 	Clip   int64  `json:"clip_ns"`
 	Canon  int64  `json:"canonicalize_ns"`
@@ -327,8 +325,8 @@ func (j *Journal) WriteLedger(w io.Writer, snap Snapshot, spans []SpanEvent) err
 		r := &records[i]
 		if err := emit(ledgerWindowLine{
 			T: "window", Kind: r.Kind, Index: r.Index, Sig: r.Sig, Class: r.Class,
-			Batch: r.Batch, Worker: r.Worker,
-			Clip: r.NS[StageClip], Canon: r.NS[StageCanonicalize], OPC: r.NS[StageOPC],
+			Worker: r.Worker,
+			Clip:   r.NS[StageClip], Canon: r.NS[StageCanonicalize], OPC: r.NS[StageOPC],
 			Image: r.NS[StageImage], Cont: r.NS[StageContour], Prof: r.NS[StageProfile],
 			Total: r.Total(),
 		}); err != nil {

@@ -16,9 +16,9 @@ func testJournal(scale int64) *Journal {
 		GOMAXPROCS: 4, NumCPU: 4, VekLevel: "v1", CPUFeatures: "none", Module: "postopc",
 	})
 	j.SetField("flow.workers", "4")
-	j.SetField("flow.batch", "8")
+	j.SetField("flow.orc.tiles", "8")
 	for i := 0; i < 10; i++ {
-		rec := &WindowRecord{Index: i, Kind: "window", Sig: "sig", Class: "miss", Batch: i / 4, Worker: i % 2}
+		rec := &WindowRecord{Index: i, Kind: "window", Sig: "sig", Class: "miss", Worker: i % 2}
 		rec.Observe(StageClip, int64(1000+100*i)*scale)
 		rec.Observe(StageOPC, int64(50000+1000*i)*scale)
 		rec.Observe(StageImage, int64(200000+5000*i)*scale)
@@ -26,7 +26,7 @@ func testJournal(scale int64) *Journal {
 	}
 	// A couple of cache hits: no stage work, still attributed.
 	for i := 10; i < 12; i++ {
-		j.Record(&WindowRecord{Index: i, Kind: "window", Sig: "sig", Class: "hit", Batch: -1, Worker: 0})
+		j.Record(&WindowRecord{Index: i, Kind: "window", Sig: "sig", Class: "hit", Worker: 0})
 	}
 	return j
 }
@@ -58,7 +58,7 @@ func TestLedgerRoundTrip(t *testing.T) {
 	if l.Manifest.Tool != "test" || l.Manifest.VekLevel != "v1" {
 		t.Fatalf("manifest did not round-trip: %+v", l.Manifest)
 	}
-	if l.Fields["flow.workers"] != "4" || l.Fields["flow.batch"] != "8" {
+	if l.Fields["flow.workers"] != "4" || l.Fields["flow.orc.tiles"] != "8" {
 		t.Fatalf("fields did not round-trip: %v", l.Fields)
 	}
 	if len(l.Windows) != 12 {
@@ -121,13 +121,13 @@ func TestLedgerDeterministic(t *testing.T) {
 		Tool: "test", GoVersion: "go1.x", GOOS: "linux", GOARCH: "amd64",
 		GOMAXPROCS: 4, NumCPU: 4, VekLevel: "v1", CPUFeatures: "none", Module: "postopc",
 	})
-	j.SetField("flow.batch", "8")
+	j.SetField("flow.orc.tiles", "8")
 	j.SetField("flow.workers", "4")
 	for i := 11; i >= 10; i-- {
-		j.Record(&WindowRecord{Index: i, Kind: "window", Sig: "sig", Class: "hit", Batch: -1, Worker: 0})
+		j.Record(&WindowRecord{Index: i, Kind: "window", Sig: "sig", Class: "hit", Worker: 0})
 	}
 	for i := 9; i >= 0; i-- {
-		rec := &WindowRecord{Index: i, Kind: "window", Sig: "sig", Class: "miss", Batch: i / 4, Worker: i % 2}
+		rec := &WindowRecord{Index: i, Kind: "window", Sig: "sig", Class: "miss", Worker: i % 2}
 		rec.Observe(StageClip, int64(1000+100*i))
 		rec.Observe(StageOPC, int64(50000+1000*i))
 		rec.Observe(StageImage, int64(200000+5000*i))
@@ -173,7 +173,7 @@ func TestSinkWriteLedger(t *testing.T) {
 	sink.Counter("cache.hits_total").Add(5)
 	sink.Start("flow.run").End()
 	sink.Ledger().SetManifest(Manifest{Tool: "t"})
-	sink.Ledger().Record(&WindowRecord{Index: 0, Kind: "window", Class: "compute", Batch: -1})
+	sink.Ledger().Record(&WindowRecord{Index: 0, Kind: "window", Class: "compute"})
 	var buf bytes.Buffer
 	if err := sink.WriteLedger(&buf); err != nil {
 		t.Fatal(err)

@@ -39,9 +39,9 @@ type LedgerHist struct {
 
 // LedgerStage is one exact per-stage percentile line.
 type LedgerStage struct {
-	Stage               string
-	Count               int
-	Total               int64
+	Stage              string
+	Count              int
+	Total              int64
 	P50, P95, P99, Max int64
 }
 
@@ -59,7 +59,6 @@ type LedgerWindow struct {
 	Index  int
 	Sig    string
 	Class  string
-	Batch  int
 	Worker int
 	NS     [NumStages]int64
 	Total  int64
@@ -98,7 +97,6 @@ type ledgerAnyLine struct {
 	Index  int     `json:"i"`
 	Sig    string  `json:"sig"`
 	Class  string  `json:"class"`
-	Batch  int     `json:"batch"`
 	Worker int     `json:"worker"`
 	Rank   int     `json:"rank"`
 	NS     int64   `json:"ns"`
@@ -150,7 +148,7 @@ func ReadLedger(r io.Reader) (*Ledger, error) {
 			l.Spans = append(l.Spans, LedgerSpan{Name: ln.Name, Count: int(ln.Count), Total: ln.Total, P50: ln.P50, P99: ln.P99})
 		case "window":
 			l.Windows = append(l.Windows, LedgerWindow{
-				Kind: ln.Kind, Index: ln.Index, Sig: ln.Sig, Class: ln.Class, Batch: ln.Batch, Worker: ln.Worker,
+				Kind: ln.Kind, Index: ln.Index, Sig: ln.Sig, Class: ln.Class, Worker: ln.Worker,
 				NS:    [NumStages]int64{ln.Clip, ln.Canon, ln.OPC, ln.Image, ln.Cont, ln.Prof},
 				Total: ln.Total,
 			})

@@ -56,14 +56,14 @@ func TestDiffFlagsInjectedRegression(t *testing.T) {
 	q := NewJournal(3)
 	q.SetManifest(Manifest{Tool: "test"})
 	for i := 0; i < 10; i++ {
-		rec := &WindowRecord{Index: i, Kind: "window", Class: "miss", Batch: -1}
+		rec := &WindowRecord{Index: i, Kind: "window", Class: "miss"}
 		rec.Observe(StageOPC, (50000+1000*int64(i))*5/4)
 		q.Record(rec)
 	}
 	b := NewJournal(3)
 	b.SetManifest(Manifest{Tool: "test"})
 	for i := 0; i < 10; i++ {
-		rec := &WindowRecord{Index: i, Kind: "window", Class: "miss", Batch: -1}
+		rec := &WindowRecord{Index: i, Kind: "window", Class: "miss"}
 		rec.Observe(StageOPC, 50000+1000*int64(i))
 		b.Record(rec)
 	}
@@ -164,5 +164,29 @@ func TestReadLedgerRejectsGarbage(t *testing.T) {
 	}
 	if _, err := ReadLedger(strings.NewReader(`{"foo": 1}`)); err == nil {
 		t.Fatal("unrelated JSON accepted as a ledger")
+	}
+}
+
+// TestReadLedgerOlderWindowLines: ledgers written while window lines still
+// carried a "batch" key parse unchanged — the key is ignored and every
+// other field of the line is kept.
+func TestReadLedgerOlderWindowLines(t *testing.T) {
+	const old = `{"t":"manifest","tool":"postopc-sta","go":"go1.22","goos":"linux","goarch":"amd64","gomaxprocs":2,"numcpu":2,"vek_level":"v1","cpu_features":"","module":"postopc","fields":{"flow.extract.batch":"3"}}
+{"t":"window","kind":"window","i":4,"sig":"ab12","class":"miss","batch":1,"worker":1,"clip_ns":10,"canonicalize_ns":20,"opc_ns":30,"image_ns":40,"contour_ns":50,"profile_ns":60,"total_ns":210}
+`
+	l, err := ReadLedger(strings.NewReader(old))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(l.Windows) != 1 {
+		t.Fatalf("got %d windows, want 1", len(l.Windows))
+	}
+	want := LedgerWindow{Kind: "window", Index: 4, Sig: "ab12", Class: "miss", Worker: 1,
+		NS: [NumStages]int64{10, 20, 30, 40, 50, 60}, Total: 210}
+	if l.Windows[0] != want {
+		t.Fatalf("window line = %+v, want %+v", l.Windows[0], want)
+	}
+	if l.Fields["flow.extract.batch"] != "3" {
+		t.Fatalf("manifest fields lost: %v", l.Fields)
 	}
 }
