@@ -65,3 +65,36 @@ func TestAbbeAerialGoldenSHA(t *testing.T) {
 		}
 	}
 }
+
+// TestGaussianAerialGoldenSHA locks the dual-Gaussian fast model (the
+// BenchmarkGaussianAerial configuration: σ2 = 120nm, w = 0.15) on the same
+// 256×256 window. The hashes were recorded from the scalar tap-loop
+// convolution, before the register-blocked kernels replaced it. Nominal
+// runs the 43-tap narrow and 73-tap broad kernels; the defocused corner
+// widens them to 47 and 77 taps.
+func TestGaussianAerialGoldenSHA(t *testing.T) {
+	golden := map[string]string{
+		"nominal":    "fc1ddda31f19b2b6788137ad5607a5a6d707f009e99d579f2918cf3b2b121fa0",
+		"defocus120": "eb885487b6cc139e788fc74342ff59875ee0c4eb5e1ad3f96c87cb22c5e38a54",
+	}
+	m, err := NewGaussianDual(testRecipe(), 120, 0.15)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mask := benchMask256()
+	for name, c := range map[string]Corner{
+		"nominal":    Nominal,
+		"defocus120": {DefocusNM: 120, Dose: 1},
+	} {
+		im, err := m.Aerial(mask, c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := goldenAerialSHA256(im)
+		if want := golden[name]; got != want {
+			t.Errorf("%s aerial SHA-256 = %s, want %s\n"+
+				"(a mismatch means a kernel changed its floating-point op sequence;"+
+				" see the bit-identity contract in DESIGN.md)", name, got, want)
+		}
+	}
+}
