@@ -1,24 +1,51 @@
 package vek_test
 
 import (
+	"math"
 	"testing"
 
 	"postopc/internal/dsp/vek"
 )
 
 // BenchmarkKernelInnerLoops is the micro-series behind BENCH_kernel.json's
-// kernel_micro block: each of the three dominant inner loops — butterfly,
-// pointwise filter apply, scaled intensity accumulate — timed as the
-// complex128 reference loop and as the SoA plane kernel, at the span
-// length the real pipeline uses (a 256-wide row/column block). Run once
-// per GOAMD64 level:
+// kernel_micro block: each dominant inner loop — butterfly, pointwise
+// filter apply, scaled intensity accumulate, inverse scale — timed as the
+// complex128 reference loop and as the SoA plane kernel, and the two
+// Gaussian-blur correlations timed as their scalar reference loop and as
+// the kernel, all at the span length the real pipeline uses (a 256-wide
+// row/column block):
 //
 //	go test ./internal/dsp/vek/ -run - -bench KernelInnerLoops
-//	GOAMD64=v3 go test ./internal/dsp/vek/ -run - -bench KernelInnerLoops
 //
-// The v1 rows measure the four-wide unrolled generic path against the
-// interleaved complex128 loop; the v3 rows measure the AVX2 path.
+// The kernel rows run the dispatched path (AVX2 on AVX2 hosts); on such
+// hosts each kernel is timed a second time under ForceGeneric, as its
+// "-generic" row, so one run records both paths.
 const benchN = 256
+
+// benchTaps is the narrow Gaussian of the fast model at 10nm pixels: 43
+// normalized taps (σ ≈ 68nm, truncated at 3σ).
+func benchTaps() []float64 {
+	taps := make([]float64, 43)
+	var sum float64
+	for i := range taps {
+		x := float64(i-21) * 10 / 68.1
+		taps[i] = math.Exp(-0.5 * x * x)
+		sum += taps[i]
+	}
+	for i := range taps {
+		taps[i] /= sum
+	}
+	return taps
+}
+
+// runBothPaths runs the sub-benchmark on the dispatched kernels and, on
+// AVX2 hosts, again under ForceGeneric as name+"-generic".
+func runBothPaths(b *testing.B, name string, fn func(b *testing.B)) {
+	b.Run(name, fn)
+	if vek.SIMDEnabled() {
+		vek.ForceGeneric(func() { b.Run(name+"-generic", fn) })
+	}
+}
 
 func benchComplexLine(seed float64) []complex128 {
 	xs := make([]complex128, benchN)
@@ -36,7 +63,7 @@ func benchPlanes(seed float64) (re, im []float64) {
 }
 
 func BenchmarkKernelInnerLoops(b *testing.B) {
-	b.Logf("goamd64=%q simd=%v", vek.BuildLevel(), vek.SIMDEnabled())
+	b.Logf("goamd64=%q avx2 dispatch=%v", vek.BuildLevel(), vek.SIMDEnabled())
 
 	b.Run("butterfly/complex128", func(b *testing.B) {
 		lo := benchComplexLine(1.5)
@@ -52,7 +79,7 @@ func BenchmarkKernelInnerLoops(b *testing.B) {
 			}
 		}
 	})
-	b.Run("butterfly/soa", func(b *testing.B) {
+	runBothPaths(b, "butterfly/soa", func(b *testing.B) {
 		loRe, loIm := benchPlanes(1.5)
 		hiRe, hiIm := benchPlanes(-0.75)
 		b.SetBytes(benchN * 16 * 2)
@@ -72,7 +99,7 @@ func BenchmarkKernelInnerLoops(b *testing.B) {
 			}
 		}
 	})
-	b.Run("filter-apply/soa", func(b *testing.B) {
+	runBothPaths(b, "filter-apply/soa", func(b *testing.B) {
 		sRe, sIm := benchPlanes(0.5)
 		vRe, vIm := benchPlanes(2.0)
 		dRe := make([]float64, benchN)
@@ -94,7 +121,7 @@ func BenchmarkKernelInnerLoops(b *testing.B) {
 			}
 		}
 	})
-	b.Run("accumulate/soa", func(b *testing.B) {
+	runBothPaths(b, "accumulate/soa", func(b *testing.B) {
 		fRe, fIm := benchPlanes(0.25)
 		acc := make([]float64, benchN)
 		b.SetBytes(benchN * (16 + 8))
@@ -113,11 +140,70 @@ func BenchmarkKernelInnerLoops(b *testing.B) {
 			}
 		}
 	})
-	b.Run("scale-inv/soa", func(b *testing.B) {
+	runBothPaths(b, "scale-inv/soa", func(b *testing.B) {
 		re, im := benchPlanes(3.0)
 		b.SetBytes(benchN * 16)
 		for i := 0; i < b.N; i++ {
 			vek.ScaleInv(re, im, benchN)
+		}
+	})
+
+	b.Run("correlate-row/scalar", func(b *testing.B) {
+		taps := benchTaps()
+		src, _ := benchPlanes(0.5)
+		src = append(src, src[:len(taps)-1]...)
+		dst := make([]float64, benchN)
+		b.SetBytes(benchN * 8)
+		for i := 0; i < b.N; i++ {
+			for x := range dst {
+				var s float64
+				for t, w := range taps {
+					s += src[x+t] * w
+				}
+				dst[x] = s
+			}
+		}
+	})
+	runBothPaths(b, "correlate-row/kernel", func(b *testing.B) {
+		taps := benchTaps()
+		src, _ := benchPlanes(0.5)
+		src = append(src, src[:len(taps)-1]...)
+		dst := make([]float64, benchN)
+		b.SetBytes(benchN * 8)
+		for i := 0; i < b.N; i++ {
+			vek.CorrelateRow(dst, src, taps)
+		}
+	})
+
+	b.Run("correlate-cols/scalar", func(b *testing.B) {
+		taps := benchTaps()
+		plane := make([]float64, benchN*(benchN+len(taps)-1))
+		for i := range plane {
+			plane[i] = float64(i%7) * 0.125
+		}
+		dst := make([]float64, benchN)
+		b.SetBytes(benchN * 8)
+		for i := 0; i < b.N; i++ {
+			for x := range dst {
+				var s float64
+				for t, w := range taps {
+					s += plane[t*benchN+x] * w
+				}
+				dst[x] = s
+			}
+		}
+	})
+	runBothPaths(b, "correlate-cols/kernel", func(b *testing.B) {
+		taps := benchTaps()
+		plane := make([]float64, benchN*(benchN+len(taps)-1))
+		for i := range plane {
+			plane[i] = float64(i%7) * 0.125
+		}
+		dst := make([]float64, benchN)
+		b.SetBytes(benchN * 8)
+		for i := 0; i < b.N; i++ {
+			vek.Zero(dst)
+			vek.AccCorrelateCols(dst, plane, benchN, taps)
 		}
 	})
 }

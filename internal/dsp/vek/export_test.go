@@ -1,11 +1,11 @@
 package vek
 
-// The generic (non-SIMD) kernel bodies, exported for the SIMD-vs-generic
-// bit-identity tests. On GOAMD64=v3 builds the public kernels dispatch to
-// AVX2 assembly; these always run the four-wide unrolled Go path.
-var (
-	ButterflyColGeneric = butterflyColGeneric
-	ButterflyRowGeneric = butterflyRowGeneric
-	CMulGeneric         = cmulGeneric
-	AccIntensityGeneric = accIntensityGeneric
-)
+// ForceGeneric runs fn with the AVX2 dispatch switched off, so one test
+// binary exercises both kernel paths. Not safe for concurrent use with
+// other kernel callers: the tests that use it do not run in parallel.
+func ForceGeneric(fn func()) {
+	saved := simdOn
+	simdOn = false
+	defer func() { simdOn = saved }()
+	fn()
+}

@@ -1,35 +1,48 @@
-// Package vek implements the structure-of-arrays (SoA) vector kernels of
-// the imaging hot path: the FFT butterflies, the pointwise pupil-filter
-// apply and the scaled intensity accumulate, executed over separate
-// real/imag float64 planes instead of interleaved []complex128.
+// Package vek implements the vector kernels of the imaging hot path: the
+// structure-of-arrays (SoA) FFT butterflies, pointwise pupil-filter apply
+// and scaled intensity accumulate of the Abbe model, executed over
+// separate real/imag float64 planes instead of interleaved []complex128,
+// and the row and column correlations of the Gaussian fast model.
 //
 // # Why SoA
 //
 // The complex128 inner loops compile to scalar SSE: each element is a
 // 16-byte (re, im) pair and every operation decomposes into dependent
 // scalar float ops. Deinterleaved planes make each lane an independent
-// 8-byte float stream, so on GOAMD64=v3 builds the kernels execute with
-// 4-lane AVX2 vector instructions (VMULPD/VADDPD/VSUBPD) that perform the
-// identical per-lane IEEE-754 operation. On lower build levels a flat
-// scalar loop runs instead — measurement rejected manual 4-wide unrolling
-// there (six live slice streams spill; the out-of-order core extracts the
-// ILP from the simple loop on its own), so the generic path stays 1-wide
-// and bounds-check-free via reslicing.
+// 8-byte float stream, which 4-lane AVX2 vector instructions
+// (VMULPD/VADDPD/VSUBPD) process with the identical per-lane IEEE-754
+// operation.
+//
+// # Dispatch
+//
+// Every amd64 build carries both an AVX2 assembly path and a generic Go
+// path. The choice is made once, when the package is initialized, from the
+// CPUID/XGETBV probe behind CPU: AVX2 hosts run the assembly, all others
+// the generic loops. The GOAMD64 build level plays no part, so a default
+// build uses AVX2 wherever the host has it. SIMDEnabled reports the path
+// in use. Off amd64 only the generic path exists. For the butterflies,
+// filter apply and accumulate the generic path is a flat scalar loop —
+// measurement rejected manual 4-wide unrolling there (six live slice
+// streams spill; the out-of-order core extracts the ILP from the simple
+// loop on its own). The correlations are register-blocked instead, because
+// their scalar form is one latency-bound add chain per output.
 //
 // # Bit-identity contract
 //
 // Every kernel performs the exact floating-point operation sequence of the
-// complex128 loop it replaces:
+// scalar loop it replaces (the complex128 loops of the Abbe engine, the
+// per-pixel tap sums of the Gaussian blur):
 //
 //   - complex multiply is the naive expansion the Go compiler open-codes,
 //     in its operand order: re = a.re*b.re - a.im*b.im,
 //     im = a.re*b.im + a.im*b.re;
-//   - no fused multiply-add, anywhere: the generic path relies on the gc
-//     compiler never contracting a*b+c on amd64 (asserted by the golden-SHA
-//     regression test at every GOAMD64 level), and the AVX2 path emits only
-//     VMULPD/VADDPD/VSUBPD, never VFMADD;
+//   - no fused multiply-add, anywhere: the Abbe kernels' generic path
+//     relies on the gc compiler never contracting a*b+c on amd64 (asserted
+//     by the golden-SHA regression tests on both dispatch paths), the
+//     correlations round every product explicitly, and the AVX2 path emits
+//     only VMULPD/VADDPD/VSUBPD, never VFMADD;
 //   - no reassociation: sums are accumulated in the order of the original
-//     loops;
+//     loops, each from +0 where the original starts from +0;
 //   - the inverse-FFT 1/N scaling mirrors runtime.complex128div for a
 //     positive real divisor (see ScaleInv), including its NaN fixup, and
 //     substitutes the division by a multiplication only when the divisor is
@@ -38,7 +51,7 @@
 // Lane independence makes vectorization order-preserving: a 4-lane VADDPD
 // is four one-lane additions with no cross-lane arithmetic, so the SIMD
 // and generic paths produce bit-identical planes (property-tested in this
-// package, pinned end-to-end by the litho golden-SHA test). The only
+// package, pinned end-to-end by the litho golden-SHA tests). The only
 // unpinned detail is the payload and sign of a NaN produced when BOTH
 // operands of one commutative operation (+, *) are NaNs with different
 // payloads: SSE/AVX propagate the first operand's payload, and the gc SSA
@@ -60,19 +73,6 @@ func Split(re, im []float64, src []complex128) {
 	for i, v := range src {
 		re[i] = real(v)
 		im[i] = imag(v)
-	}
-}
-
-// Join interleaves the real and imaginary planes into dst.
-// dst must hold at least len(re) elements; len(im) must match len(re).
-//
-//postopc:allocfree
-func Join(dst []complex128, re, im []float64) {
-	n := len(re)
-	im = im[:n]
-	dst = dst[:n]
-	for i := range dst {
-		dst[i] = complex(re[i], im[i])
 	}
 }
 

@@ -38,9 +38,9 @@ func genValue(r *rand.Rand) float64 {
 	case 5:
 		// Denormals: the 1/N-scaling exactness proof must hold below the
 		// normal range too.
-		return math.Float64frombits(uint64(r.Intn(1 << 20)) + 1)
+		return math.Float64frombits(uint64(r.Intn(1<<20)) + 1)
 	case 6:
-		return -math.Float64frombits(uint64(r.Intn(1 << 20)) + 1)
+		return -math.Float64frombits(uint64(r.Intn(1<<20)) + 1)
 	default:
 		return (r.Float64()*2 - 1) * math.Ldexp(1, r.Intn(80)-40)
 	}
@@ -107,117 +107,125 @@ func quickCfg() *quick.Config {
 }
 
 func TestButterflyColMatchesComplex(t *testing.T) {
-	prop := func(lo, hi cline, wre, wim int64) bool {
-		n := len(lo)
-		if len(hi) < n {
-			n = len(hi)
-		}
-		lo, hi = lo[:n], hi[:n]
-		r := rand.New(rand.NewSource(wre ^ wim))
-		w := complex(genValue(r), genValue(r))
+	bothPaths(t, func(t *testing.T) {
+		prop := func(lo, hi cline, wre, wim int64) bool {
+			n := len(lo)
+			if len(hi) < n {
+				n = len(hi)
+			}
+			lo, hi = lo[:n], hi[:n]
+			r := rand.New(rand.NewSource(wre ^ wim))
+			w := complex(genValue(r), genValue(r))
 
-		refLo := append([]complex128(nil), lo...)
-		refHi := append([]complex128(nil), hi...)
-		for c := range refLo { // the fftColumnsBlock inner loop, verbatim
-			a := refLo[c]
-			b := refHi[c] * w
-			refLo[c] = a + b
-			refHi[c] = a - b
-		}
+			refLo := append([]complex128(nil), lo...)
+			refHi := append([]complex128(nil), hi...)
+			for c := range refLo { // the fftColumnsBlock inner loop, verbatim
+				a := refLo[c]
+				b := refHi[c] * w
+				refLo[c] = a + b
+				refHi[c] = a - b
+			}
 
-		loRe, loIm := split(lo)
-		hiRe, hiIm := split(hi)
-		vek.ButterflyCol(loRe, loIm, hiRe, hiIm, real(w), imag(w))
-		return planesEqual(loRe, loIm, refLo) && planesEqual(hiRe, hiIm, refHi)
-	}
-	if err := quick.Check(prop, quickCfg()); err != nil {
-		t.Error(err)
-	}
+			loRe, loIm := split(lo)
+			hiRe, hiIm := split(hi)
+			vek.ButterflyCol(loRe, loIm, hiRe, hiIm, real(w), imag(w))
+			return planesEqual(loRe, loIm, refLo) && planesEqual(hiRe, hiIm, refHi)
+		}
+		if err := quick.Check(prop, quickCfg()); err != nil {
+			t.Error(err)
+		}
+	})
 }
 
 func TestButterflyRowMatchesComplex(t *testing.T) {
-	prop := func(lo, hi, tw cline) bool {
-		n := len(lo)
-		if len(hi) < n {
-			n = len(hi)
-		}
-		if len(tw) < n {
-			n = len(tw)
-		}
-		lo, hi, tw = lo[:n], hi[:n], tw[:n]
+	bothPaths(t, func(t *testing.T) {
+		prop := func(lo, hi, tw cline) bool {
+			n := len(lo)
+			if len(hi) < n {
+				n = len(hi)
+			}
+			if len(tw) < n {
+				n = len(tw)
+			}
+			lo, hi, tw = lo[:n], hi[:n], tw[:n]
 
-		refLo := append([]complex128(nil), lo...)
-		refHi := append([]complex128(nil), hi...)
-		for k, w := range tw { // the fftPlanned stage loop, verbatim
-			a := refLo[k]
-			b := refHi[k] * w
-			refLo[k] = a + b
-			refHi[k] = a - b
-		}
+			refLo := append([]complex128(nil), lo...)
+			refHi := append([]complex128(nil), hi...)
+			for k, w := range tw { // the fftPlanned stage loop, verbatim
+				a := refLo[k]
+				b := refHi[k] * w
+				refLo[k] = a + b
+				refHi[k] = a - b
+			}
 
-		loRe, loIm := split(lo)
-		hiRe, hiIm := split(hi)
-		twRe, twIm := split(tw)
-		vek.ButterflyRow(loRe, loIm, hiRe, hiIm, twRe, twIm)
-		return planesEqual(loRe, loIm, refLo) && planesEqual(hiRe, hiIm, refHi)
-	}
-	if err := quick.Check(prop, quickCfg()); err != nil {
-		t.Error(err)
-	}
+			loRe, loIm := split(lo)
+			hiRe, hiIm := split(hi)
+			twRe, twIm := split(tw)
+			vek.ButterflyRow(loRe, loIm, hiRe, hiIm, twRe, twIm)
+			return planesEqual(loRe, loIm, refLo) && planesEqual(hiRe, hiIm, refHi)
+		}
+		if err := quick.Check(prop, quickCfg()); err != nil {
+			t.Error(err)
+		}
+	})
 }
 
 func TestCMulMatchesComplex(t *testing.T) {
-	prop := func(a, b cline) bool {
-		n := len(a)
-		if len(b) < n {
-			n = len(b)
-		}
-		a, b = a[:n], b[:n]
+	bothPaths(t, func(t *testing.T) {
+		prop := func(a, b cline) bool {
+			n := len(a)
+			if len(b) < n {
+				n = len(b)
+			}
+			a, b = a[:n], b[:n]
 
-		ref := make([]complex128, n)
-		for i := range ref { // the aerialFiltered filter apply, verbatim
-			ref[i] = a[i] * b[i]
-		}
+			ref := make([]complex128, n)
+			for i := range ref { // the aerialFiltered filter apply, verbatim
+				ref[i] = a[i] * b[i]
+			}
 
-		aRe, aIm := split(a)
-		bRe, bIm := split(b)
-		dstRe := make([]float64, n)
-		dstIm := make([]float64, n)
-		vek.CMul(dstRe, dstIm, aRe, aIm, bRe, bIm)
-		if !planesEqual(dstRe, dstIm, ref) {
-			return false
+			aRe, aIm := split(a)
+			bRe, bIm := split(b)
+			dstRe := make([]float64, n)
+			dstIm := make([]float64, n)
+			vek.CMul(dstRe, dstIm, aRe, aIm, bRe, bIm)
+			if !planesEqual(dstRe, dstIm, ref) {
+				return false
+			}
+			// Aliased destination (dst == a), as the in-place apply uses it.
+			vek.CMul(aRe, aIm, aRe, aIm, bRe, bIm)
+			return planesEqual(aRe, aIm, ref)
 		}
-		// Aliased destination (dst == a), as the in-place apply uses it.
-		vek.CMul(aRe, aIm, aRe, aIm, bRe, bIm)
-		return planesEqual(aRe, aIm, ref)
-	}
-	if err := quick.Check(prop, quickCfg()); err != nil {
-		t.Error(err)
-	}
+		if err := quick.Check(prop, quickCfg()); err != nil {
+			t.Error(err)
+		}
+	})
 }
 
 func TestAccIntensityMatchesComplex(t *testing.T) {
-	prop := func(field cline, seed int64) bool {
-		r := rand.New(rand.NewSource(seed))
-		w := genValue(r)
-		acc := make([]float64, len(field))
-		for i := range acc {
-			acc[i] = genValue(r)
-		}
+	bothPaths(t, func(t *testing.T) {
+		prop := func(field cline, seed int64) bool {
+			r := rand.New(rand.NewSource(seed))
+			w := genValue(r)
+			acc := make([]float64, len(field))
+			for i := range acc {
+				acc[i] = genValue(r)
+			}
 
-		ref := append([]float64(nil), acc...)
-		for i, e := range field { // the Abbe intensity accumulate, verbatim
-			re, im := real(e), imag(e)
-			ref[i] += w * (re*re + im*im)
-		}
+			ref := append([]float64(nil), acc...)
+			for i, e := range field { // the Abbe intensity accumulate, verbatim
+				re, im := real(e), imag(e)
+				ref[i] += w * (re*re + im*im)
+			}
 
-		fRe, fIm := split(field)
-		vek.AccIntensity(acc, fRe, fIm, w)
-		return floatsEqual(acc, ref)
-	}
-	if err := quick.Check(prop, quickCfg()); err != nil {
-		t.Error(err)
-	}
+			fRe, fIm := split(field)
+			vek.AccIntensity(acc, fRe, fIm, w)
+			return floatsEqual(acc, ref)
+		}
+		if err := quick.Check(prop, quickCfg()); err != nil {
+			t.Error(err)
+		}
+	})
 }
 
 func TestScaleInvMatchesComplexDiv(t *testing.T) {
@@ -241,68 +249,141 @@ func TestScaleInvMatchesComplexDiv(t *testing.T) {
 	}
 }
 
-// TestSIMDMatchesGeneric pins the dispatch equivalence: on a GOAMD64>=v3
-// build the public kernels run AVX2 assembly, which must agree with the
-// four-wide generic Go path bit-for-bit (per-lane IEEE operations only).
-// On lower build levels both sides run the same code and the test is a
-// tautology — it still runs, keeping the harness level-independent.
-func TestSIMDMatchesGeneric(t *testing.T) {
+// correlateRowRef and accCorrelateColsRef are the scalar per-pixel tap
+// loops of litho's Gaussian blur, verbatim apart from the explicit product
+// rounding the kernels add (a no-op on amd64, where gc never fuses).
+func correlateRowRef(dst, src, taps []float64) {
+	for i := range dst {
+		var s float64
+		for t, w := range taps {
+			s += float64(src[i+t] * w)
+		}
+		dst[i] = s
+	}
+}
+
+func accCorrelateColsRef(dst, src []float64, stride int, taps []float64) {
+	for i := range dst {
+		s := dst[i]
+		for t, w := range taps {
+			s += float64(src[t*stride+i] * w)
+		}
+		dst[i] = s
+	}
+}
+
+// floats draws n edge-case-biased values.
+func floats(r *rand.Rand, n int) []float64 {
+	p := make([]float64, n)
+	for i := range p {
+		p[i] = genValue(r)
+	}
+	return p
+}
+
+// bothPaths runs fn on the dispatched kernels and, on AVX2 hosts, again
+// with dispatch forced to the generic path.
+func bothPaths(t *testing.T, fn func(t *testing.T)) {
+	t.Run("dispatched", fn)
 	if vek.SIMDEnabled() {
-		t.Logf("GOAMD64=%s: public kernels dispatch to AVX2", vek.BuildLevel())
+		vek.ForceGeneric(func() { t.Run("generic", fn) })
+	}
+}
+
+func TestCorrelateMatchesScalar(t *testing.T) {
+	bothPaths(t, func(t *testing.T) {
+		r := rand.New(rand.NewSource(3))
+		for trial := 0; trial < 2000; trial++ {
+			n := r.Intn(70)
+			nt := 1 + r.Intn(40)
+			taps := floats(r, nt)
+
+			src := floats(r, n+nt-1)
+			got, want := floats(r, n), make([]float64, n)
+			vek.CorrelateRow(got, src, taps)
+			correlateRowRef(want, src, taps)
+			if !floatsEqual(got, want) {
+				t.Fatalf("trial %d: CorrelateRow != scalar (n=%d taps=%d)", trial, n, nt)
+			}
+
+			// Strides from 0 (one row read for every tap) to past the
+			// row length.
+			stride := r.Intn(n + 4)
+			plane := floats(r, (nt-1)*stride+n)
+			got = floats(r, n)
+			want = append(want[:0], got...)
+			vek.AccCorrelateCols(got, plane, stride, taps)
+			accCorrelateColsRef(want, plane, stride, taps)
+			if !floatsEqual(got, want) {
+				t.Fatalf("trial %d: AccCorrelateCols != scalar (n=%d taps=%d stride=%d)", trial, n, nt, stride)
+			}
+		}
+	})
+}
+
+// TestSIMDMatchesGeneric pins the dispatch equivalence: every public
+// kernel, run on the dispatched path (AVX2 assembly on AVX2 hosts) and
+// again under ForceGeneric, must produce bit-identical planes. On hosts
+// without AVX2 both runs take the generic path and the test is a
+// tautology — it still runs, keeping the harness host-independent.
+func TestSIMDMatchesGeneric(t *testing.T) {
+	if !vek.SIMDEnabled() {
+		t.Log("no AVX2 on this host: both runs take the generic path")
 	}
 	r := rand.New(rand.NewSource(7))
+	cp := func(p []float64) []float64 { return append([]float64(nil), p...) }
 	for trial := 0; trial < 500; trial++ {
 		n := r.Intn(67)
-		mk := func() []float64 {
-			p := make([]float64, n)
-			for i := range p {
-				p[i] = genValue(r)
-			}
-			return p
-		}
-		loRe, loIm, hiRe, hiIm := mk(), mk(), mk(), mk()
-		twRe, twIm := mk(), mk()
+		loRe, loIm, hiRe, hiIm := floats(r, n), floats(r, n), floats(r, n), floats(r, n)
+		twRe, twIm, acc0 := floats(r, n), floats(r, n), floats(r, n)
 		wr, wi, w := genValue(r), genValue(r), genValue(r)
+		nt := 1 + r.Intn(40)
+		taps, row := floats(r, nt), floats(r, n+nt-1)
+		stride := r.Intn(n + 4)
+		plane := floats(r, (nt-1)*stride+n)
 
-		cp := func(p []float64) []float64 { return append([]float64(nil), p...) }
-
-		gLoRe, gLoIm, gHiRe, gHiIm := cp(loRe), cp(loIm), cp(hiRe), cp(hiIm)
-		vek.ButterflyCol(loRe, loIm, hiRe, hiIm, wr, wi)
-		vek.ButterflyColGeneric(gLoRe, gLoIm, gHiRe, gHiIm, wr, wi)
-		if !floatsEqual(loRe, gLoRe) || !floatsEqual(loIm, gLoIm) ||
-			!floatsEqual(hiRe, gHiRe) || !floatsEqual(hiIm, gHiIm) {
-			t.Fatalf("trial %d: ButterflyCol SIMD != generic (n=%d)", trial, n)
+		names := []string{"ButterflyCol", "ButterflyRow", "CMul", "AccIntensity", "CorrelateRow", "AccCorrelateCols"}
+		run := func() [][]float64 {
+			bcLoRe, bcLoIm, bcHiRe, bcHiIm := cp(loRe), cp(loIm), cp(hiRe), cp(hiIm)
+			vek.ButterflyCol(bcLoRe, bcLoIm, bcHiRe, bcHiIm, wr, wi)
+			brLoRe, brLoIm, brHiRe, brHiIm := cp(loRe), cp(loIm), cp(hiRe), cp(hiIm)
+			vek.ButterflyRow(brLoRe, brLoIm, brHiRe, brHiIm, twRe, twIm)
+			dRe, dIm := make([]float64, n), make([]float64, n)
+			vek.CMul(dRe, dIm, loRe, loIm, hiRe, hiIm)
+			acc := cp(acc0)
+			vek.AccIntensity(acc, loRe, loIm, w)
+			cr, cc := make([]float64, n), cp(acc0)
+			vek.CorrelateRow(cr, row, taps)
+			vek.AccCorrelateCols(cc, plane, stride, taps)
+			return [][]float64{
+				append(append(append(bcLoRe, bcLoIm...), bcHiRe...), bcHiIm...),
+				append(append(append(brLoRe, brLoIm...), brHiRe...), brHiIm...),
+				append(dRe, dIm...), acc, cr, cc,
+			}
 		}
-
-		gLoRe, gLoIm, gHiRe, gHiIm = cp(loRe), cp(loIm), cp(hiRe), cp(hiIm)
-		vek.ButterflyRow(loRe, loIm, hiRe, hiIm, twRe, twIm)
-		vek.ButterflyRowGeneric(gLoRe, gLoIm, gHiRe, gHiIm, twRe, twIm)
-		if !floatsEqual(loRe, gLoRe) || !floatsEqual(hiIm, gHiIm) {
-			t.Fatalf("trial %d: ButterflyRow SIMD != generic (n=%d)", trial, n)
-		}
-
-		dRe, dIm, gdRe, gdIm := mk(), mk(), make([]float64, n), make([]float64, n)
-		vek.CMul(dRe, dIm, loRe, loIm, hiRe, hiIm)
-		vek.CMulGeneric(gdRe, gdIm, loRe, loIm, hiRe, hiIm)
-		if !floatsEqual(dRe, gdRe) || !floatsEqual(dIm, gdIm) {
-			t.Fatalf("trial %d: CMul SIMD != generic (n=%d)", trial, n)
-		}
-
-		acc, gAcc := mk(), []float64(nil)
-		gAcc = cp(acc)
-		vek.AccIntensity(acc, loRe, loIm, w)
-		vek.AccIntensityGeneric(gAcc, loRe, loIm, w)
-		if !floatsEqual(acc, gAcc) {
-			t.Fatalf("trial %d: AccIntensity SIMD != generic (n=%d)", trial, n)
+		got := run()
+		var want [][]float64
+		vek.ForceGeneric(func() { want = run() })
+		for k := range got {
+			if !floatsEqual(got[k], want[k]) {
+				t.Fatalf("trial %d: %s SIMD != generic (n=%d)", trial, names[k], n)
+			}
 		}
 	}
 }
 
+// join interleaves SoA planes back into a complex line.
+func join(re, im []float64) []complex128 {
+	out := make([]complex128, len(re))
+	for i := range out {
+		out[i] = complex(re[i], im[i])
+	}
+	return out
+}
+
 func TestSplitJoinRoundTrip(t *testing.T) {
 	prop := func(xs cline) bool {
-		re, im := split(xs)
-		out := make([]complex128, len(xs))
-		vek.Join(out, re, im)
+		out := join(split(xs))
 		for i := range xs {
 			if math.Float64bits(real(out[i])) != math.Float64bits(real(xs[i])) ||
 				math.Float64bits(imag(out[i])) != math.Float64bits(imag(xs[i])) {
@@ -332,8 +413,9 @@ func TestEmptyAndTinySpans(t *testing.T) {
 		vek.Zero(re)
 		acc := make([]float64, n)
 		vek.AccIntensity(acc, re, im, 0.25)
-		out := make([]complex128, n)
-		vek.Join(out, re, im)
+		taps := []float64{0.25, 0.5, 0.25}
+		vek.CorrelateRow(acc, append(append([]float64{1}, acc...), 1), taps)
+		vek.AccCorrelateCols(acc, make([]float64, 2*n+n), n, taps)
 		for i := range re {
 			if re[i] != 0 {
 				t.Fatalf("n=%d: Zero left re[%d] = %g", n, i, re[i])

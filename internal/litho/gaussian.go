@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 
+	"postopc/internal/dsp/vek"
 	"postopc/internal/geom"
 	"postopc/internal/obs"
 )
@@ -141,6 +142,12 @@ func (g *Gaussian) aerial(mask *geom.Raster, c Corner, ks *kernelScratch) (*Imag
 // level. The kernel is truncated at 3σ and normalized to unit sum so a
 // uniform field is preserved exactly. dst must have nx*ny elements; its
 // prior contents are ignored. Row scratch comes from ks.
+//
+// Each output pixel is the tap-ordered sum, from +0, of the scalar
+// two-pass blur — first along its row, then down its column — and the vek
+// correlation kernels keep that per-pixel operation sequence exactly while
+// blocking across pixels, so the result is bit-identical to the scalar
+// loops (pinned by TestGaussianAerialGoldenSHA).
 func convolveGaussianInto(dst, amp []float64, nx, ny int, bg, sigma, px float64, ks *kernelScratch) {
 	half := int(math.Ceil(3 * sigma / px))
 	if half < 1 {
@@ -157,9 +164,9 @@ func convolveGaussianInto(dst, amp []float64, nx, ny int, bg, sigma, px float64,
 	for i := range kern {
 		kern[i] /= ksum
 	}
-	// Horizontal pass over a background-padded row buffer (branch-free
-	// inner loop). The pad's end fills are constant across rows, so they
-	// are written once, outside the row loop.
+	// Horizontal pass over a background-padded row buffer. The pad's end
+	// fills are constant across rows, so they are written once, outside
+	// the row loop.
 	ks.tmp = growFloats(ks.tmp, nx*ny)
 	tmp := ks.tmp
 	ks.pad = growFloats(ks.pad, nx+2*half)
@@ -170,38 +177,24 @@ func convolveGaussianInto(dst, amp []float64, nx, ny int, bg, sigma, px float64,
 	}
 	for iy := 0; iy < ny; iy++ {
 		copy(pad[half:half+nx], amp[iy*nx:(iy+1)*nx])
-		row := tmp[iy*nx : (iy+1)*nx]
-		for ix := 0; ix < nx; ix++ {
-			var s float64
-			win := pad[ix : ix+2*half+1]
-			for j, k := range kern {
-				s += win[j] * k
-			}
-			row[ix] = s
-		}
+		vek.CorrelateRow(tmp[iy*nx:(iy+1)*nx], pad, kern)
 	}
-	// Vertical pass, accumulated row-wise for sequential memory access.
-	// dst is an accumulator here, so it is zeroed first.
-	for i := range dst {
-		dst[i] = 0
+	// Vertical pass, one output row at a time, accumulated from +0 in tap
+	// order. Tap t of output row iy reads row iy+t-half; taps falling
+	// above or below the window add the background term bg·w instead,
+	// read from a row of bg (the pad buffer, free again) at stride 0.
+	bgRow := pad[:nx]
+	for i := range bgRow {
+		bgRow[i] = bg
 	}
-	for k := -half; k <= half; k++ {
-		w := kern[k+half]
-		for iy := 0; iy < ny; iy++ {
-			row := dst[iy*nx : (iy+1)*nx]
-			j := iy + k
-			if j < 0 || j >= ny {
-				add := bg * w
-				for ix := range row {
-					row[ix] += add
-				}
-				continue
-			}
-			src := tmp[j*nx : (j+1)*nx]
-			for ix := range row {
-				row[ix] += src[ix] * w
-			}
-		}
+	for iy := 0; iy < ny; iy++ {
+		row := dst[iy*nx : (iy+1)*nx]
+		lo := max(half-iy, 0)           // first tap inside the window
+		hi := min(ny+half-iy, 2*half+1) // first tap below it
+		vek.Zero(row)
+		vek.AccCorrelateCols(row, bgRow, 0, kern[:lo])
+		vek.AccCorrelateCols(row, tmp[(iy+lo-half)*nx:], nx, kern[lo:hi])
+		vek.AccCorrelateCols(row, bgRow, 0, kern[hi:])
 	}
 }
 
