@@ -45,8 +45,9 @@ bench-smoke:
 # imaging hot path (TestKernelAllocBudget), runs the kernel report bench
 # once (-short trims its sample count), then the vek inner-loop micro
 # series (complex128 reference vs SoA kernels — butterfly, filter apply,
-# intensity accumulate, inverse scale). Build with GOAMD64=v3 to measure
-# the AVX2 kernels. Reference numbers: BENCH_kernel.json.
+# intensity accumulate, inverse scale — and scalar vs blocked Gaussian
+# correlations). On AVX2 hosts every kernel row is timed on the AVX2 path
+# and again as a "-generic" row. Reference numbers: BENCH_kernel.json.
 bench-kernel:
 	$(GO) test -short -run=TestKernelAllocBudget -bench=KernelReport -benchtime=1x ./internal/litho/
 	$(GO) test -run=NONE -bench=KernelInnerLoops -benchtime=100ms ./internal/dsp/vek/

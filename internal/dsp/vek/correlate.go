@@ -39,18 +39,17 @@ func correlateRowGeneric(dst, src, taps []float64) {
 	n, nt := len(dst), len(taps)
 	i := 0
 	for ; i+4 <= n; i += 4 {
-		// x0..x3 slide along the window: output i+k reads src[i+k+t]
-		// at tap t, so one new element is loaded per tap.
-		ahead := src[i+3 : i+3+nt]
-		x0, x1, x2 := src[i], src[i+1], src[i+2]
+		// Window k of the block is src[i+k:], resliced to the tap count so
+		// the indexing below carries no bounds checks.
+		x0, x1 := src[i:i+nt], src[i+1:i+1+nt]
+		x2, x3 := src[i+2:i+2+nt], src[i+3:i+3+nt]
+		x0, x1, x2, x3 = x0[:len(taps)], x1[:len(taps)], x2[:len(taps)], x3[:len(taps)]
 		var s0, s1, s2, s3 float64
 		for t, w := range taps {
-			x3 := ahead[t]
-			s0 += float64(x0 * w)
-			s1 += float64(x1 * w)
-			s2 += float64(x2 * w)
-			s3 += float64(x3 * w)
-			x0, x1, x2 = x1, x2, x3
+			s0 += float64(x0[t] * w)
+			s1 += float64(x1[t] * w)
+			s2 += float64(x2[t] * w)
+			s3 += float64(x3[t] * w)
 		}
 		dst[i], dst[i+1], dst[i+2], dst[i+3] = s0, s1, s2, s3
 	}
@@ -100,6 +99,7 @@ func accCorrelateColsGeneric(dst, src []float64, stride int, taps []float64) {
 		r1 := src[(t+1)*stride : (t+1)*stride+n]
 		r2 := src[(t+2)*stride : (t+2)*stride+n]
 		r3 := src[(t+3)*stride : (t+3)*stride+n]
+		r0, r1, r2, r3 = r0[:len(dst)], r1[:len(dst)], r2[:len(dst)], r3[:len(dst)]
 		w0, w1, w2, w3 := taps[t], taps[t+1], taps[t+2], taps[t+3]
 		for i, v := range dst {
 			v += float64(r0[i] * w0)
@@ -111,6 +111,7 @@ func accCorrelateColsGeneric(dst, src []float64, stride int, taps []float64) {
 	}
 	for ; t < len(taps); t++ {
 		row := src[t*stride : t*stride+n]
+		row = row[:len(dst)]
 		w := taps[t]
 		for i := range dst {
 			dst[i] += float64(row[i] * w)

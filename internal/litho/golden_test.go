@@ -8,14 +8,18 @@ import (
 	"testing"
 )
 
-// Golden-SHA pins of the Abbe aerial image. The hashes were recorded from
-// the pre-vek complex128 kernel path; the SoA kernel layer (internal/dsp/vek)
-// preserves the exact floating-point operation sequence of that code, so
-// the images must stay byte-identical — across the refactor AND across
-// GOAMD64 build levels (the kernels contain no fused operations, see the
-// no-FMA contract in DESIGN.md "SIMD inner loops"). CI runs this test under
-// both the default GOAMD64 and the v3 lane; a hash change on either means a
-// kernel reordered, fused or otherwise perturbed a float operation.
+// Golden-SHA pins of the aerial images. The Abbe hashes were recorded from
+// the pre-vek complex128 kernel path, the Gaussian ones from the scalar
+// blur loops; the kernel layer (internal/dsp/vek) preserves the exact
+// floating-point operation sequence of that code, so the images must stay
+// byte-identical — across refactors, on both kernel paths (AVX2 and
+// generic, chosen at run time from CPUID) and at every GOAMD64 build level
+// (the kernels contain no fused operations, see the no-FMA contract in
+// DESIGN.md "SIMD inner loops"). These tests check the dispatched path;
+// vek's TestAerialImagesBothPaths renders the same windows under
+// ForceGeneric and requires identical bytes, and CI's GOAMD64=v3 lane
+// re-runs this file. A hash change means a kernel reordered, fused or
+// otherwise perturbed a float operation.
 
 // goldenAerialSHA256 hashes the image: dimensions, background and every
 // sample as its exact IEEE-754 bit pattern, little-endian.

@@ -9,10 +9,12 @@ import (
 )
 
 // BuildInfo identifies the binary a telemetry export came from: go
-// toolchain, platform, the GOAMD64 level the vector kernels were built
-// for, the CPU features actually detected at run time, and the module
-// version. Bench hosts (and future multi-tenant daemons) are
-// distinguishable from scrapes and ledgers alone.
+// toolchain, platform, the GOAMD64 level its Go code was compiled for,
+// the CPU features detected at run time, and the module version. The vek
+// kernels choose their path from the detected features, not the build
+// level: "avx2" in CPUFeatures means the AVX2 kernels ran. Bench hosts
+// (and future multi-tenant daemons) are distinguishable from scrapes and
+// ledgers alone.
 type BuildInfo struct {
 	GoVersion   string
 	GOOS        string

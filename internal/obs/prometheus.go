@@ -33,8 +33,9 @@ func promName(name string) string {
 // WritePrometheus renders the snapshot in Prometheus text exposition
 // format. The export opens with a constant postopc_build_info gauge
 // (the usual build-identity idiom: value 1, identity in the labels) so
-// every scrape names the toolchain, GOAMD64 level and detected CPU
-// features that produced the numbers.
+// every scrape names the toolchain, GOAMD64 build level and the detected
+// CPU features — which select the vek kernel path — that produced the
+// numbers.
 func WritePrometheus(w io.Writer, s Snapshot) error {
 	bi := GetBuildInfo()
 	if _, err := fmt.Fprintf(w,
