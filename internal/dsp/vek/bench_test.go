@@ -41,10 +41,12 @@ func benchTaps() []float64 {
 // runBothPaths runs the sub-benchmark on the dispatched kernels and, on
 // AVX2 hosts, again under ForceGeneric as name+"-generic".
 func runBothPaths(b *testing.B, name string, fn func(b *testing.B)) {
-	b.Run(name, fn)
-	if vek.SIMDEnabled() {
-		vek.ForceGeneric(func() { b.Run(name+"-generic", fn) })
-	}
+	onBothPaths(func(path string) {
+		if path == "generic" {
+			name += "-generic"
+		}
+		b.Run(name, fn)
+	})
 }
 
 func benchComplexLine(seed float64) []complex128 {
@@ -155,13 +157,7 @@ func BenchmarkKernelInnerLoops(b *testing.B) {
 		dst := make([]float64, benchN)
 		b.SetBytes(benchN * 8)
 		for i := 0; i < b.N; i++ {
-			for x := range dst {
-				var s float64
-				for t, w := range taps {
-					s += src[x+t] * w
-				}
-				dst[x] = s
-			}
+			correlateRowRef(dst, src, taps)
 		}
 	})
 	runBothPaths(b, "correlate-row/kernel", func(b *testing.B) {
@@ -177,25 +173,20 @@ func BenchmarkKernelInnerLoops(b *testing.B) {
 
 	b.Run("correlate-cols/scalar", func(b *testing.B) {
 		taps := benchTaps()
-		plane := make([]float64, benchN*(benchN+len(taps)-1))
+		plane := make([]float64, benchN*len(taps))
 		for i := range plane {
 			plane[i] = float64(i%7) * 0.125
 		}
 		dst := make([]float64, benchN)
 		b.SetBytes(benchN * 8)
 		for i := 0; i < b.N; i++ {
-			for x := range dst {
-				var s float64
-				for t, w := range taps {
-					s += plane[t*benchN+x] * w
-				}
-				dst[x] = s
-			}
+			vek.Zero(dst)
+			accCorrelateColsRef(dst, plane, benchN, taps)
 		}
 	})
 	runBothPaths(b, "correlate-cols/kernel", func(b *testing.B) {
 		taps := benchTaps()
-		plane := make([]float64, benchN*(benchN+len(taps)-1))
+		plane := make([]float64, benchN*len(taps))
 		for i := range plane {
 			plane[i] = float64(i%7) * 0.125
 		}

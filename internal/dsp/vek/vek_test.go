@@ -38,9 +38,9 @@ func genValue(r *rand.Rand) float64 {
 	case 5:
 		// Denormals: the 1/N-scaling exactness proof must hold below the
 		// normal range too.
-		return math.Float64frombits(uint64(r.Intn(1<<20)) + 1)
+		return math.Float64frombits(uint64(r.Intn(1 << 20)) + 1)
 	case 6:
-		return -math.Float64frombits(uint64(r.Intn(1<<20)) + 1)
+		return -math.Float64frombits(uint64(r.Intn(1 << 20)) + 1)
 	default:
 		return (r.Float64()*2 - 1) * math.Ldexp(1, r.Intn(80)-40)
 	}
@@ -107,123 +107,123 @@ func quickCfg() *quick.Config {
 }
 
 func TestButterflyColMatchesComplex(t *testing.T) {
-	bothPaths(t, func(t *testing.T) {
-		prop := func(lo, hi cline, wre, wim int64) bool {
-			n := len(lo)
-			if len(hi) < n {
-				n = len(hi)
-			}
-			lo, hi = lo[:n], hi[:n]
-			r := rand.New(rand.NewSource(wre ^ wim))
-			w := complex(genValue(r), genValue(r))
-
-			refLo := append([]complex128(nil), lo...)
-			refHi := append([]complex128(nil), hi...)
-			for c := range refLo { // the fftColumnsBlock inner loop, verbatim
-				a := refLo[c]
-				b := refHi[c] * w
-				refLo[c] = a + b
-				refHi[c] = a - b
-			}
-
-			loRe, loIm := split(lo)
-			hiRe, hiIm := split(hi)
-			vek.ButterflyCol(loRe, loIm, hiRe, hiIm, real(w), imag(w))
-			return planesEqual(loRe, loIm, refLo) && planesEqual(hiRe, hiIm, refHi)
+	prop := func(lo, hi cline, wre, wim int64) bool {
+		n := len(lo)
+		if len(hi) < n {
+			n = len(hi)
 		}
+		lo, hi = lo[:n], hi[:n]
+		r := rand.New(rand.NewSource(wre ^ wim))
+		w := complex(genValue(r), genValue(r))
+
+		refLo := append([]complex128(nil), lo...)
+		refHi := append([]complex128(nil), hi...)
+		for c := range refLo { // the fftColumnsBlock inner loop, verbatim
+			a := refLo[c]
+			b := refHi[c] * w
+			refLo[c] = a + b
+			refHi[c] = a - b
+		}
+
+		loRe, loIm := split(lo)
+		hiRe, hiIm := split(hi)
+		vek.ButterflyCol(loRe, loIm, hiRe, hiIm, real(w), imag(w))
+		return planesEqual(loRe, loIm, refLo) && planesEqual(hiRe, hiIm, refHi)
+	}
+	onBothPaths(func(path string) {
 		if err := quick.Check(prop, quickCfg()); err != nil {
-			t.Error(err)
+			t.Errorf("%s: %v", path, err)
 		}
 	})
 }
 
 func TestButterflyRowMatchesComplex(t *testing.T) {
-	bothPaths(t, func(t *testing.T) {
-		prop := func(lo, hi, tw cline) bool {
-			n := len(lo)
-			if len(hi) < n {
-				n = len(hi)
-			}
-			if len(tw) < n {
-				n = len(tw)
-			}
-			lo, hi, tw = lo[:n], hi[:n], tw[:n]
-
-			refLo := append([]complex128(nil), lo...)
-			refHi := append([]complex128(nil), hi...)
-			for k, w := range tw { // the fftPlanned stage loop, verbatim
-				a := refLo[k]
-				b := refHi[k] * w
-				refLo[k] = a + b
-				refHi[k] = a - b
-			}
-
-			loRe, loIm := split(lo)
-			hiRe, hiIm := split(hi)
-			twRe, twIm := split(tw)
-			vek.ButterflyRow(loRe, loIm, hiRe, hiIm, twRe, twIm)
-			return planesEqual(loRe, loIm, refLo) && planesEqual(hiRe, hiIm, refHi)
+	prop := func(lo, hi, tw cline) bool {
+		n := len(lo)
+		if len(hi) < n {
+			n = len(hi)
 		}
+		if len(tw) < n {
+			n = len(tw)
+		}
+		lo, hi, tw = lo[:n], hi[:n], tw[:n]
+
+		refLo := append([]complex128(nil), lo...)
+		refHi := append([]complex128(nil), hi...)
+		for k, w := range tw { // the fftPlanned stage loop, verbatim
+			a := refLo[k]
+			b := refHi[k] * w
+			refLo[k] = a + b
+			refHi[k] = a - b
+		}
+
+		loRe, loIm := split(lo)
+		hiRe, hiIm := split(hi)
+		twRe, twIm := split(tw)
+		vek.ButterflyRow(loRe, loIm, hiRe, hiIm, twRe, twIm)
+		return planesEqual(loRe, loIm, refLo) && planesEqual(hiRe, hiIm, refHi)
+	}
+	onBothPaths(func(path string) {
 		if err := quick.Check(prop, quickCfg()); err != nil {
-			t.Error(err)
+			t.Errorf("%s: %v", path, err)
 		}
 	})
 }
 
 func TestCMulMatchesComplex(t *testing.T) {
-	bothPaths(t, func(t *testing.T) {
-		prop := func(a, b cline) bool {
-			n := len(a)
-			if len(b) < n {
-				n = len(b)
-			}
-			a, b = a[:n], b[:n]
-
-			ref := make([]complex128, n)
-			for i := range ref { // the aerialFiltered filter apply, verbatim
-				ref[i] = a[i] * b[i]
-			}
-
-			aRe, aIm := split(a)
-			bRe, bIm := split(b)
-			dstRe := make([]float64, n)
-			dstIm := make([]float64, n)
-			vek.CMul(dstRe, dstIm, aRe, aIm, bRe, bIm)
-			if !planesEqual(dstRe, dstIm, ref) {
-				return false
-			}
-			// Aliased destination (dst == a), as the in-place apply uses it.
-			vek.CMul(aRe, aIm, aRe, aIm, bRe, bIm)
-			return planesEqual(aRe, aIm, ref)
+	prop := func(a, b cline) bool {
+		n := len(a)
+		if len(b) < n {
+			n = len(b)
 		}
+		a, b = a[:n], b[:n]
+
+		ref := make([]complex128, n)
+		for i := range ref { // the aerialFiltered filter apply, verbatim
+			ref[i] = a[i] * b[i]
+		}
+
+		aRe, aIm := split(a)
+		bRe, bIm := split(b)
+		dstRe := make([]float64, n)
+		dstIm := make([]float64, n)
+		vek.CMul(dstRe, dstIm, aRe, aIm, bRe, bIm)
+		if !planesEqual(dstRe, dstIm, ref) {
+			return false
+		}
+		// Aliased destination (dst == a), as the in-place apply uses it.
+		vek.CMul(aRe, aIm, aRe, aIm, bRe, bIm)
+		return planesEqual(aRe, aIm, ref)
+	}
+	onBothPaths(func(path string) {
 		if err := quick.Check(prop, quickCfg()); err != nil {
-			t.Error(err)
+			t.Errorf("%s: %v", path, err)
 		}
 	})
 }
 
 func TestAccIntensityMatchesComplex(t *testing.T) {
-	bothPaths(t, func(t *testing.T) {
-		prop := func(field cline, seed int64) bool {
-			r := rand.New(rand.NewSource(seed))
-			w := genValue(r)
-			acc := make([]float64, len(field))
-			for i := range acc {
-				acc[i] = genValue(r)
-			}
-
-			ref := append([]float64(nil), acc...)
-			for i, e := range field { // the Abbe intensity accumulate, verbatim
-				re, im := real(e), imag(e)
-				ref[i] += w * (re*re + im*im)
-			}
-
-			fRe, fIm := split(field)
-			vek.AccIntensity(acc, fRe, fIm, w)
-			return floatsEqual(acc, ref)
+	prop := func(field cline, seed int64) bool {
+		r := rand.New(rand.NewSource(seed))
+		w := genValue(r)
+		acc := make([]float64, len(field))
+		for i := range acc {
+			acc[i] = genValue(r)
 		}
+
+		ref := append([]float64(nil), acc...)
+		for i, e := range field { // the Abbe intensity accumulate, verbatim
+			re, im := real(e), imag(e)
+			ref[i] += w * (re*re + im*im)
+		}
+
+		fRe, fIm := split(field)
+		vek.AccIntensity(acc, fRe, fIm, w)
+		return floatsEqual(acc, ref)
+	}
+	onBothPaths(func(path string) {
 		if err := quick.Check(prop, quickCfg()); err != nil {
-			t.Error(err)
+			t.Errorf("%s: %v", path, err)
 		}
 	})
 }
@@ -281,17 +281,17 @@ func floats(r *rand.Rand, n int) []float64 {
 	return p
 }
 
-// bothPaths runs fn on the dispatched kernels and, on AVX2 hosts, again
+// onBothPaths runs fn on the dispatched kernels and, on AVX2 hosts, again
 // with dispatch forced to the generic path.
-func bothPaths(t *testing.T, fn func(t *testing.T)) {
-	t.Run("dispatched", fn)
+func onBothPaths(fn func(path string)) {
+	fn("dispatched")
 	if vek.SIMDEnabled() {
-		vek.ForceGeneric(func() { t.Run("generic", fn) })
+		vek.ForceGeneric(func() { fn("generic") })
 	}
 }
 
 func TestCorrelateMatchesScalar(t *testing.T) {
-	bothPaths(t, func(t *testing.T) {
+	onBothPaths(func(path string) {
 		r := rand.New(rand.NewSource(3))
 		for trial := 0; trial < 2000; trial++ {
 			n := r.Intn(70)
@@ -303,7 +303,7 @@ func TestCorrelateMatchesScalar(t *testing.T) {
 			vek.CorrelateRow(got, src, taps)
 			correlateRowRef(want, src, taps)
 			if !floatsEqual(got, want) {
-				t.Fatalf("trial %d: CorrelateRow != scalar (n=%d taps=%d)", trial, n, nt)
+				t.Fatalf("%s trial %d: CorrelateRow != scalar (n=%d taps=%d)", path, trial, n, nt)
 			}
 
 			// Strides from 0 (one row read for every tap) to past the
@@ -315,7 +315,7 @@ func TestCorrelateMatchesScalar(t *testing.T) {
 			vek.AccCorrelateCols(got, plane, stride, taps)
 			accCorrelateColsRef(want, plane, stride, taps)
 			if !floatsEqual(got, want) {
-				t.Fatalf("trial %d: AccCorrelateCols != scalar (n=%d taps=%d stride=%d)", trial, n, nt, stride)
+				t.Fatalf("%s trial %d: AccCorrelateCols != scalar (n=%d taps=%d stride=%d)", path, trial, n, nt, stride)
 			}
 		}
 	})
