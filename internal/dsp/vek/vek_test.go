@@ -38,9 +38,9 @@ func genValue(r *rand.Rand) float64 {
 	case 5:
 		// Denormals: the 1/N-scaling exactness proof must hold below the
 		// normal range too.
-		return math.Float64frombits(uint64(r.Intn(1 << 20)) + 1)
+		return math.Float64frombits(uint64(r.Intn(1<<20)) + 1)
 	case 6:
-		return -math.Float64frombits(uint64(r.Intn(1 << 20)) + 1)
+		return -math.Float64frombits(uint64(r.Intn(1<<20)) + 1)
 	default:
 		return (r.Float64()*2 - 1) * math.Ldexp(1, r.Intn(80)-40)
 	}
