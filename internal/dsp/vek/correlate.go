@@ -18,9 +18,8 @@ package vek
 //	dst[i] = Σ_t src[i+t]·taps[t]   for i in [0, len(dst))
 //
 // It computes four adjacent outputs per sweep of the taps, in four
-// independent accumulators, instead of one latency-bound add chain. src
-// must hold at least len(dst)+len(taps)-1 elements; taps must not be
-// empty.
+// independent accumulators that share each tap load. src must hold at
+// least len(dst)+len(taps)-1 elements; taps must not be empty.
 //
 //postopc:allocfree
 func CorrelateRow(dst, src, taps []float64) {

