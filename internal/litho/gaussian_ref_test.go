@@ -6,6 +6,10 @@ import (
 	"testing"
 )
 
+// convolveGaussianRef is the scalar blur that convolveGaussianInto ran
+// before the vek correlation kernels, kept verbatim as the bit-identity
+// reference.
+//
 // convolveGaussianRef blurs amp (nx×ny, row-major) into dst with an
 // isotropic Gaussian of the given sigma, extending edges with the background
 // level. The kernel is truncated at 3σ and normalized to unit sum so a
