@@ -8,13 +8,11 @@ import (
 
 // convolveGaussianRef is the scalar blur that convolveGaussianInto ran
 // before the vek correlation kernels, kept verbatim as the bit-identity
-// reference.
-//
-// convolveGaussianRef blurs amp (nx×ny, row-major) into dst with an
-// isotropic Gaussian of the given sigma, extending edges with the background
-// level. The kernel is truncated at 3σ and normalized to unit sum so a
-// uniform field is preserved exactly. dst must have nx*ny elements; its
-// prior contents are ignored. Row scratch comes from ks.
+// reference. It blurs amp (nx×ny, row-major) into dst with an isotropic
+// Gaussian of the given sigma, extending edges with the background level.
+// The kernel is truncated at 3σ and normalized to unit sum so a uniform
+// field is preserved exactly. dst must have nx*ny elements; its prior
+// contents are ignored. Row scratch comes from ks.
 func convolveGaussianRef(dst, amp []float64, nx, ny int, bg, sigma, px float64, ks *kernelScratch) {
 	half := int(math.Ceil(3 * sigma / px))
 	if half < 1 {
