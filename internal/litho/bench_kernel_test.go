@@ -32,6 +32,21 @@ func benchMask256() *geom.Raster {
 	return ra
 }
 
+// benchMaskWindow rasterizes a flow-sized, non-power-of-two window: 259×324
+// pixels of vertical lines with one horizontal bar above them. Both
+// dimensions pad to 512 in the Abbe grid, so most of the transform grid
+// lies outside the window the image returns.
+func benchMaskWindow() *geom.Raster {
+	la := LineArray{WidthNM: 130, PitchNM: 280, Count: 7, LengthNM: 2400}
+	ra := geom.NewRaster(geom.R(-1290, -1620, 1300, 1620), 10)
+	for _, r := range la.Rects() {
+		ra.AddRect(r)
+	}
+	ra.AddRect(geom.R(-1000, 1300, 1000, 1430))
+	ra.Clamp()
+	return ra
+}
+
 func benchAbbe(b *testing.B) *Abbe {
 	b.Helper()
 	m, err := NewAbbe(testRecipe())

@@ -39,17 +39,32 @@ func goldenAerialSHA256(im *Image) string {
 	return hex.EncodeToString(h.Sum(nil))
 }
 
+// checkAerialGolden reports a mismatch between im's hash and want.
+func checkAerialGolden(t *testing.T, name string, im *Image, want string) {
+	t.Helper()
+	if got := goldenAerialSHA256(im); got != want {
+		t.Errorf("%s aerial SHA-256 = %s, want %s\n"+
+			"(a mismatch means a kernel changed its floating-point op sequence;"+
+			" see the bit-identity contract in DESIGN.md)", name, got, want)
+	}
+}
+
 // TestAbbeAerialGoldenSHA locks the nominal and defocused Abbe images of
 // the fixed 256×256 grating window to their recorded hashes. The defocused
 // corner exercises the unfolded full source sum and the complex pupil
 // phases; nominal exercises Hermitian folding. Together they cover every
 // vek kernel: transmission fill, forward band-selected butterflies, the
 // filter apply, the inverse band-limited butterflies with their 1/N
-// scaling, and the intensity accumulate.
+// scaling, and the intensity accumulate. The third case images the
+// 259×324 window of benchMaskWindow through AerialSeries (one spectrum, two
+// filter sets): it pads to a 512×512 grid, so it pins the rows and columns
+// of the transform that lie outside the returned window.
 func TestAbbeAerialGoldenSHA(t *testing.T) {
 	golden := map[string]string{
-		"nominal":    "c7d23219c1727153264c63589ed8da02f118e5143339dde5992efd6bc6f98829",
-		"defocus120": "db29a873f1b6e4d818dd2221ec2f6401b239ca668b952e3d8ccf7d014b90b0b3",
+		"nominal":               "c7d23219c1727153264c63589ed8da02f118e5143339dde5992efd6bc6f98829",
+		"defocus120":            "db29a873f1b6e4d818dd2221ec2f6401b239ca668b952e3d8ccf7d014b90b0b3",
+		"window259x324/nominal": "52495b01dbf6926fb6c887491dc62efe754fbe0f88981299123bb0df507e7c16",
+		"window259x324/defocus": "28a6014d1216039cafb0b3cdc2f8a002a9d9ae6e74d87abd000d381bf2f4dea5",
 	}
 	m := newAbbeT(t)
 	mask := benchMask256()
@@ -61,12 +76,14 @@ func TestAbbeAerialGoldenSHA(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got := goldenAerialSHA256(im)
-		if want := golden[name]; got != want {
-			t.Errorf("%s aerial SHA-256 = %s, want %s\n"+
-				"(a mismatch means a kernel changed its floating-point op sequence;"+
-				" see the bit-identity contract in DESIGN.md)", name, got, want)
-		}
+		checkAerialGolden(t, name, im, golden[name])
+	}
+	series, err := m.AerialSeries(benchMaskWindow(), []Corner{Nominal, {DefocusNM: 120, Dose: 1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, name := range []string{"window259x324/nominal", "window259x324/defocus"} {
+		checkAerialGolden(t, name, series[i], golden[name])
 	}
 }
 
@@ -94,11 +111,6 @@ func TestGaussianAerialGoldenSHA(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got := goldenAerialSHA256(im)
-		if want := golden[name]; got != want {
-			t.Errorf("%s aerial SHA-256 = %s, want %s\n"+
-				"(a mismatch means a kernel changed its floating-point op sequence;"+
-				" see the bit-identity contract in DESIGN.md)", name, got, want)
-		}
+		checkAerialGolden(t, name, im, golden[name])
 	}
 }
