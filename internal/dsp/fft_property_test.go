@@ -118,30 +118,94 @@ func TestFFT2DDeterminism(t *testing.T) {
 }
 
 // TestIFFT2DBandLimitedMatchesFull checks the pruned inverse against the
-// full one: for a spectrum whose energy is confined to the listed rows the
-// two are the same computation (the inverse FFT of an all-zero row is
-// identically zero), so they must agree bit for bit.
+// full one on random grids, support sets and corners. Support sets are
+// contiguous, wrapping around row 0, scattered, empty and full; the corner
+// is a random cols ≤ Nx by outRows ≤ Ny. Rows outside the support hold +0
+// over the corner's columns and NaN beyond them, which the contract says
+// are never read; the reference zeroes them and runs IFFT2D. On the corner
+// the two must agree bit for bit, including the sign of zero.
 func TestIFFT2DBandLimitedMatchesFull(t *testing.T) {
 	rnd := rand.New(rand.NewSource(5))
-	const nx, ny = 32, 64
-	rows := []int{0, 1, 2, 3, 60, 61, 62, 63} // band around DC with wraparound
-	g := NewFGrid(nx, ny)
-	for _, iy := range rows {
-		for ix := 0; ix < nx; ix++ {
-			g.Set(ix, iy, complex(rnd.NormFloat64(), rnd.NormFloat64()))
+	supports := []struct {
+		name string
+		rows func(ny int) []int
+	}{
+		{"contiguous", func(ny int) []int {
+			lo := rnd.Intn(ny)
+			return seq(lo, lo+1+rnd.Intn(ny-lo))
+		}},
+		{"wrapping", func(ny int) []int { // a band around DC, as a pupil filter's
+			k := 1 + rnd.Intn(max(ny/2, 1))
+			return append(seq(0, k), seq(ny-k+1, ny)...)
+		}},
+		{"scattered", func(ny int) []int {
+			var rows []int
+			for iy := 0; iy < ny; iy++ {
+				if rnd.Intn(3) == 0 {
+					rows = append(rows, iy)
+				}
+			}
+			return rows
+		}},
+		{"empty", func(int) []int { return nil }},
+		{"full", func(ny int) []int { return seq(0, ny) }},
+	}
+	for trial := 0; trial < 40; trial++ {
+		for _, sup := range supports {
+			nx := 1 << rnd.Intn(8) // 1..128
+			ny := 1 << rnd.Intn(8)
+			if trial == 0 {
+				nx, ny = 32, 512 // a tall grid: more than one liveness word
+			}
+			rows := sup.rows(ny)
+			cols, outRows := rnd.Intn(nx+1), rnd.Intn(ny+1)
+			if trial%4 == 0 {
+				cols, outRows = nx, ny
+			}
+			g := NewFGrid(nx, ny)
+			full := NewFGrid(nx, ny)
+			for iy := 0; iy < ny; iy++ {
+				for ix := cols; ix < nx; ix++ {
+					g.Set(ix, iy, complex(math.NaN(), math.NaN()))
+				}
+			}
+			for _, iy := range rows {
+				for ix := 0; ix < nx; ix++ {
+					v := complex(rnd.NormFloat64(), rnd.NormFloat64())
+					if rnd.Intn(8) == 0 {
+						v = complex(math.Copysign(0, -1), 0)
+					}
+					g.Set(ix, iy, v)
+					full.Set(ix, iy, v)
+				}
+			}
+			if err := full.IFFT2D(); err != nil {
+				t.Fatal(err)
+			}
+			if err := g.IFFT2DBandLimited(rows, cols, outRows); err != nil {
+				t.Fatal(err)
+			}
+			for iy := 0; iy < outRows; iy++ {
+				for ix := 0; ix < cols; ix++ {
+					i := iy*nx + ix
+					if math.Float64bits(g.Re[i]) != math.Float64bits(full.Re[i]) ||
+						math.Float64bits(g.Im[i]) != math.Float64bits(full.Im[i]) {
+						t.Fatalf("%s support %v on %dx%d, corner %dx%d: (%d,%d) = %v, full %v",
+							sup.name, rows, nx, ny, cols, outRows, ix, iy, at(g, i), at(full, i))
+					}
+				}
+			}
 		}
 	}
-	full := cloneGrid(g)
-	if err := full.IFFT2D(); err != nil {
-		t.Fatal(err)
+}
+
+// seq returns the integers lo, lo+1, ..., hi-1.
+func seq(lo, hi int) []int {
+	out := make([]int, 0, hi-lo)
+	for i := lo; i < hi; i++ {
+		out = append(out, i)
 	}
-	if err := g.IFFT2DBandLimited(rows); err != nil {
-		t.Fatal(err)
-	}
-	if i, ok := bitsEqual(g, full); !ok {
-		t.Fatalf("band-limited inverse differs from full at %d: %v vs %v",
-			i, at(g, i), at(full, i))
-	}
+	return out
 }
 
 // TestFFT2DBandSelectMatchesFull checks the forward band-select transform
@@ -174,14 +238,19 @@ func TestBandRowsValidation(t *testing.T) {
 	if err := g.FFT2DBandSelect([]int{8}); err == nil {
 		t.Fatal("expected error for out-of-range band-select row")
 	}
-	if err := g.IFFT2DBandLimited([]int{-1}); err == nil {
+	if err := g.IFFT2DBandLimited([]int{-1}, 8, 8); err == nil {
 		t.Fatal("expected error for negative band-limited row")
+	}
+	for _, c := range [][2]int{{9, 8}, {8, 9}, {-1, 8}, {8, -1}} {
+		if err := g.IFFT2DBandLimited(nil, c[0], c[1]); err == nil {
+			t.Fatalf("expected error for a %dx%d corner of an 8x8 grid", c[0], c[1])
+		}
 	}
 	ng := NewFGrid(3, 8)
 	if err := ng.FFT2DBandSelect(nil); err == nil {
 		t.Fatal("expected error for non-power-of-two grid")
 	}
-	if err := ng.IFFT2DBandLimited(nil); err == nil {
+	if err := ng.IFFT2DBandLimited(nil, 3, 8); err == nil {
 		t.Fatal("expected error for non-power-of-two grid")
 	}
 }

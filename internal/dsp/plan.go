@@ -131,27 +131,35 @@ func fftLinePlanes(re, im []float64, p *plan, inverse bool) {
 // butterfly loop to reuse every fetched line across the whole block.
 const columnBlockW = 16
 
-// fftColumnsBlockedPlanes transforms every column of the row-major nx-wide
-// plane pair in place. Columns advance through the butterfly stages in
-// blocks of adjacent columns so each cache line is reused across the whole
-// block instead of being refetched per column. Within any single column the
+// fftColumnsBlockedPlanes transforms columns [0, cols) of the row-major
+// nx-wide plane pair in place; columns from cols on are neither read nor
+// written. Columns advance through the butterfly stages in blocks of
+// adjacent columns so each cache line is reused across the whole block
+// instead of being refetched per column. Within any single column the
 // sequence of floating-point operations is identical to a 1-D transform of
 // the gathered column, so results are unchanged; only the interleaving
 // across (independent) columns differs. The inverse 1/N scaling is NOT
 // applied here — callers scale grid-wide, which divides each element
 // exactly once in the same way.
 //
+// live, when non-nil, marks the rows that may be nonzero, in bit-reversed
+// order (see liveRows); every other row must hold +0 in both planes over
+// the transformed columns. The pass then skips each bit-reversal swap and
+// each butterfly whose two rows are both still +0. Such a butterfly would
+// write +0 to both outputs — with ar = +0, ar+br and ar-br are +0 for
+// either sign of br = +0·w — so skipping it moves no bit. A butterfly with
+// one live row makes both outputs live; after stage s liveness is therefore
+// uniform over aligned runs of size 2<<s rows, and a stage-s butterfly
+// group is live exactly when its rows include a live one (anyLive).
+//
 //postopc:allocfree
-func fftColumnsBlockedPlanes(re, im []float64, nx int, p *plan, inverse bool) {
+func fftColumnsBlockedPlanes(re, im []float64, nx, cols int, live []uint64, p *plan, inverse bool) {
 	n := p.n // number of rows
 	twRe, twIm := p.twiddlePlanes(inverse)
-	for c0 := 0; c0 < nx; c0 += columnBlockW {
-		cw := columnBlockW
-		if nx-c0 < cw {
-			cw = nx - c0
-		}
+	for c0 := 0; c0 < cols; c0 += columnBlockW {
+		cw := min(columnBlockW, cols-c0)
 		for i, j := range p.rev {
-			if int(j) > i {
+			if int(j) > i && (live == nil || anyLive(live, i, 1) || anyLive(live, int(j), 1)) {
 				ri := i*nx + c0
 				rj := int(j)*nx + c0
 				swapSpans(re[ri:ri+cw], re[rj:rj+cw])
@@ -163,6 +171,9 @@ func fftColumnsBlockedPlanes(re, im []float64, nx int, p *plan, inverse bool) {
 			half := size >> 1
 			sRe, sIm := twRe[s], twIm[s]
 			for start := 0; start < n; start += size {
+				if live != nil && !anyLive(live, start, size) {
+					continue
+				}
 				base := start*nx + c0
 				for k := range sRe {
 					r1 := base + k*nx
@@ -175,4 +186,33 @@ func fftColumnsBlockedPlanes(re, im []float64, nx int, p *plan, inverse bool) {
 			}
 		}
 	}
+}
+
+// liveRows marks in live (one bit per row, len(live) >= (p.n+63)/64
+// words, zeroed) the bit-reversed position of every listed row: the row a
+// listed row's data lands on after the column pass's bit reversal.
+//
+//postopc:allocfree
+func liveRows(live []uint64, rows []int, p *plan) {
+	for _, iy := range rows {
+		r := uint(p.rev[iy])
+		live[r>>6] |= 1 << (r & 63)
+	}
+}
+
+// anyLive reports whether any of the size rows from start is marked in
+// live. size is a power of two and start a multiple of it, so a run
+// shorter than a word never straddles two words.
+//
+//postopc:allocfree
+func anyLive(live []uint64, start, size int) bool {
+	if size < 64 {
+		return live[start>>6]>>(uint(start)&63)&(1<<uint(size)-1) != 0
+	}
+	for _, w := range live[start>>6 : (start+size)>>6] {
+		if w != 0 {
+			return true
+		}
+	}
+	return false
 }

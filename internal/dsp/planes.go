@@ -94,23 +94,54 @@ func (f *FGrid) FFT2DBandSelect(rows []int) error {
 	return nil
 }
 
+// liveStackWords sizes the row-liveness bitset IFFT2DBandLimited keeps on
+// the stack: one bit per row, enough for grids of up to 4096 rows.
+const liveStackWords = 64
+
 // IFFT2DBandLimited performs the inverse 2-D transform of a spectrum whose
-// energy is confined to the listed rows: the row pass runs on those rows
-// only (the inverse FFT of an all-zero row is identically zero), the column
-// pass is full. For such spectra the result equals IFFT2D; rows outside the
-// list must be zero or the transform is wrong.
-func (f *FGrid) IFFT2DBandLimited(rows []int) error {
+// energy is confined to the listed rows and computes only the outRows ×
+// cols corner of the result, which is bit-identical to the same corner of
+// IFFT2D. Every other row must hold +0 in both planes over columns
+// [0, cols), as Clear leaves it; columns from cols on of those rows are
+// never read. Elements outside the corner are left unspecified.
+//
+// Three prunings skip the work the corner does not need:
+//   - the row pass runs on the listed rows only (the inverse FFT of a +0
+//     row is +0);
+//   - the column pass runs on columns [0, cols) only, since columns are
+//     independent, and skips every butterfly whose two input rows are both
+//     still +0. Liveness is tracked from rows through the bit reversal and
+//     each stage; skipping moves no bit (see fftColumnsBlockedPlanes);
+//   - the 1/Ny scaling runs on the corner only.
+func (f *FGrid) IFFT2DBandLimited(rows []int, cols, outRows int) error {
 	if !IsPow2(f.Nx) || !IsPow2(f.Ny) {
 		return fmt.Errorf("dsp: grid %dx%d not power-of-two", f.Nx, f.Ny)
 	}
-	rowPlan := planFor(f.Nx)
+	if cols < 0 || cols > f.Nx || outRows < 0 || outRows > f.Ny {
+		return fmt.Errorf("dsp: band-limited corner %dx%d outside grid %dx%d", cols, outRows, f.Nx, f.Ny)
+	}
 	for _, iy := range rows {
 		if iy < 0 || iy >= f.Ny {
 			return fmt.Errorf("dsp: band-limited row %d outside grid of %d rows", iy, f.Ny)
 		}
+	}
+	var buf [liveStackWords]uint64
+	var live []uint64
+	if words := (f.Ny + 63) >> 6; words <= len(buf) {
+		live = buf[:words]
+	} else {
+		live = make([]uint64, words) //postopc:nolint:allocbudget grids taller than 4096 rows are outside the imaging hot path
+	}
+	colPlan := planFor(f.Ny)
+	liveRows(live, rows, colPlan)
+	rowPlan := planFor(f.Nx)
+	for _, iy := range rows {
 		fftLinePlanes(f.Re[iy*f.Nx:(iy+1)*f.Nx], f.Im[iy*f.Nx:(iy+1)*f.Nx], rowPlan, true)
 	}
-	f.transformColumns(true)
+	fftColumnsBlockedPlanes(f.Re, f.Im, f.Nx, cols, live, colPlan, true)
+	for o := 0; o < outRows*f.Nx; o += f.Nx {
+		vek.ScaleInv(f.Re[o:o+cols], f.Im[o:o+cols], float64(f.Ny))
+	}
 	return nil
 }
 
@@ -121,7 +152,7 @@ func (f *FGrid) IFFT2DBandLimited(rows []int) error {
 //
 //postopc:allocfree
 func (f *FGrid) transformColumns(inverse bool) {
-	fftColumnsBlockedPlanes(f.Re, f.Im, f.Nx, planFor(f.Ny), inverse)
+	fftColumnsBlockedPlanes(f.Re, f.Im, f.Nx, f.Nx, nil, planFor(f.Ny), inverse)
 	if inverse {
 		vek.ScaleInv(f.Re, f.Im, float64(f.Ny))
 	}

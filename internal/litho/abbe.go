@@ -85,9 +85,7 @@ func (a *Abbe) aerialOne(mask *geom.Raster, c Corner) (*Image, error) {
 	if err := t.FFT2DBandSelect(fs.unionRows); err != nil {
 		return nil, err
 	}
-	ks := borrowKernelScratch()
-	defer ks.release()
-	return a.aerialFiltered(t, mask, fs, bg, ks)
+	return a.aerialFiltered(t, mask, fs, bg)
 }
 
 // backgroundLevel is the transmission of the unpatterned field for the
@@ -182,8 +180,6 @@ func (a *Abbe) AerialSeries(mask *geom.Raster, corners []Corner) ([]*Image, erro
 		return nil, err
 	}
 
-	ks := borrowKernelScratch()
-	defer ks.release()
 	order := make([]*Image, len(corners))
 	for ci, c := range corners {
 		if sets[ci] == nil { // duplicate defocus: alias the earlier image
@@ -195,7 +191,7 @@ func (a *Abbe) AerialSeries(mask *geom.Raster, corners []Corner) ([]*Image, erro
 			}
 			continue
 		}
-		im, err := a.aerialFiltered(t, mask, sets[ci], bg, ks)
+		im, err := a.aerialFiltered(t, mask, sets[ci], bg)
 		if err != nil {
 			return nil, err
 		}
@@ -208,19 +204,32 @@ func (a *Abbe) AerialSeries(mask *geom.Raster, corners []Corner) ([]*Image, erro
 // spectrum is the band-selected FFT of the transmission planes and must not
 // be modified. The whole loop runs on the vek kernel layer: a CMul per
 // support row (work = spectrum × P(f + fs)), the band-limited inverse
-// transform, and an AccIntensity over the grid — each performing per
-// element the exact float sequence of the complex128 loop it replaced.
-func (a *Abbe) aerialFiltered(spectrum *dsp.FGrid, mask *geom.Raster, fs *filterSet, bg float64, ks *kernelScratch) (*Image, error) {
+// transform, and an AccIntensity — each performing per element the exact
+// float sequence of the complex128 loop it replaced.
+//
+// Only the mask.Nx × mask.Ny window of the padded grid reaches the image,
+// so the inverse transform computes just that corner (its column pass runs
+// over the window's columns and skips butterflies of still-zero rows) and
+// the intensity accumulates row by row straight into the image. The image
+// starts at the +0 an accumulator would: NewImage zeroes its Data.
+func (a *Abbe) aerialFiltered(spectrum *dsp.FGrid, mask *geom.Raster, fs *filterSet, bg float64) (*Image, error) {
 	nx, ny := spectrum.Nx, spectrum.Ny
-	ks.acc = growFloats(ks.acc, nx*ny)
-	acc := ks.acc
-	vek.Zero(acc)
+	cols := mask.Nx
+	out := NewImage(mask)
+	out.Background = bg
 	work := dsp.BorrowFGrid(nx, ny)
 	defer dsp.ReturnFGrid(work)
 	for pi := range fs.points {
 		pf := &fs.points[pi]
-		// work = spectrum × P(f + fs), nonzero only on the support rows.
-		work.Clear()
+		// The inverse transform reads the window's columns of every row
+		// and, on the support rows, the whole row. Zero the first and
+		// overwrite the support rows below: that leaves every row the
+		// transform reads at +0 except the support rows.
+		for o := 0; o < nx*ny; o += nx {
+			vek.Zero(work.Re[o : o+cols])
+			vek.Zero(work.Im[o : o+cols])
+		}
+		// work = spectrum × P(f + fs) on the support rows.
 		for ri, iy := range pf.rows {
 			o := ri * nx
 			s := iy * nx
@@ -229,16 +238,13 @@ func (a *Abbe) aerialFiltered(spectrum *dsp.FGrid, mask *geom.Raster, fs *filter
 				spectrum.Re[s:s+nx], spectrum.Im[s:s+nx],
 				pf.valsRe[o:o+nx], pf.valsIm[o:o+nx])
 		}
-		if err := work.IFFT2DBandLimited(pf.rows); err != nil {
+		if err := work.IFFT2DBandLimited(pf.rows, cols, mask.Ny); err != nil {
 			return nil, err
 		}
-		vek.AccIntensity(acc, work.Re, work.Im, pf.weight)
-	}
-
-	out := NewImage(mask)
-	out.Background = bg
-	for iy := 0; iy < mask.Ny; iy++ {
-		copy(out.Data[iy*mask.Nx:(iy+1)*mask.Nx], acc[iy*nx:iy*nx+mask.Nx])
+		for iy := 0; iy < mask.Ny; iy++ {
+			o := iy * nx
+			vek.AccIntensity(out.Data[iy*cols:(iy+1)*cols], work.Re[o:o+cols], work.Im[o:o+cols], pf.weight)
+		}
 	}
 	return out, nil
 }

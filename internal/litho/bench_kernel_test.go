@@ -88,6 +88,24 @@ func BenchmarkAbbeAerialDefocus(b *testing.B) {
 	}
 }
 
+// BenchmarkAbbeAerialWindow images a flow-sized window the way extraction
+// does: the padded 259×324 window of benchMaskWindow at the four corners
+// of flow.VariationCorners for the default ±120nm / ±5% process window.
+// The dose corners alias the nominal image, so each op runs the nominal
+// (folded) and the defocused (full) source sums over one shared spectrum.
+func BenchmarkAbbeAerialWindow(b *testing.B) {
+	m := benchAbbe(b)
+	mask := benchMaskWindow()
+	corners := []Corner{Nominal, {DefocusNM: 120, Dose: 1}, {DefocusNM: 0, Dose: 0.95}, {DefocusNM: 0, Dose: 1.05}}
+	b.ResetTimer()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := m.AerialSeries(mask, corners); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkGaussianAerial times the dual-kernel fast model on the same
 // window (pooled convolution scratch, hoisted pad fill).
 func BenchmarkGaussianAerial(b *testing.B) {

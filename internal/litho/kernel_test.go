@@ -186,43 +186,40 @@ func TestFilterBankReuse(t *testing.T) {
 // TestKernelAllocBudget asserts the steady-state allocation budget of the
 // imaging hot path: with warm pools and filter bank, a window simulation
 // allocates only the returned Image (struct + Data) plus the series slice.
-// GC is disabled during the measurement so sync.Pool contents survive —
-// the budget is about the code path, not GC timing.
+// It runs on a power-of-two mask and on the padded 259×324 window, whose
+// inverse transforms take the pruned column pass. GC is disabled during the
+// measurement so sync.Pool contents survive — the budget is about the code
+// path, not GC timing.
 func TestKernelAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates; budget is asserted in the non-race run")
 	}
-	mask := smallMask()
 	abbe := newAbbeT(t)
 	gauss, err := NewGaussianDual(testRecipe(), 120, 0.15)
 	if err != nil {
 		t.Fatal(err)
 	}
 	corners := []Corner{Nominal}
-	// Warm filter bank and every pool before counting.
-	for i := 0; i < 3; i++ {
-		if _, err := abbe.AerialSeries(mask, corners); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := gauss.AerialSeries(mask, corners); err != nil {
-			t.Fatal(err)
-		}
-	}
-	defer debug.SetGCPercent(debug.SetGCPercent(-1))
-
 	const budget = 4
-	if got := testing.AllocsPerRun(10, func() {
-		if _, err := abbe.AerialSeries(mask, corners); err != nil {
-			t.Fatal(err)
+	for _, mask := range []*geom.Raster{smallMask(), benchMaskWindow()} {
+		for _, m := range []Model{abbe, gauss} {
+			// Warm filter bank and every pool before counting.
+			for i := 0; i < 3; i++ {
+				if _, err := m.AerialSeries(mask, corners); err != nil {
+					t.Fatal(err)
+				}
+			}
+			gc := debug.SetGCPercent(-1)
+			got := testing.AllocsPerRun(10, func() {
+				if _, err := m.AerialSeries(mask, corners); err != nil {
+					t.Fatal(err)
+				}
+			})
+			debug.SetGCPercent(gc)
+			t.Logf("%T AerialSeries on %dx%d mask: %g allocs/op", m, mask.Nx, mask.Ny, got)
+			if got > budget {
+				t.Errorf("%T AerialSeries on %dx%d mask: allocs/op = %g, budget %d", m, mask.Nx, mask.Ny, got, budget)
+			}
 		}
-	}); got > budget {
-		t.Errorf("Abbe AerialSeries allocs/op = %g, budget %d", got, budget)
-	}
-	if got := testing.AllocsPerRun(10, func() {
-		if _, err := gauss.AerialSeries(mask, corners); err != nil {
-			t.Fatal(err)
-		}
-	}); got > budget {
-		t.Errorf("Gaussian AerialSeries allocs/op = %g, budget %d", got, budget)
 	}
 }

@@ -9,8 +9,9 @@ import (
 )
 
 // Scratch pooling for the imaging kernels. A single window simulation
-// needs several full-size float work buffers (intensity accumulator,
-// transmission amplitude, convolution fields and pad rows); full-chip runs
+// needs several full-size float work buffers (the Gaussian kernel's
+// transmission amplitude, convolution fields and pad rows; the Abbe
+// kernel's plane grids, pooled in package dsp); full-chip runs
 // simulate thousands of equally-sized windows from concurrent workers, so
 // the buffers are recycled through sync.Pools and steady-state simulation
 // allocates only the returned *Image.
@@ -63,15 +64,14 @@ func poolReturned() {
 	}
 }
 
-// kernelScratch carries the per-call work buffers of both kernels.
+// kernelScratch carries the per-call work buffers of the Gaussian kernel.
 type kernelScratch struct {
-	acc   []float64 // Abbe: weighted intensity accumulator (padded grid)
-	amp   []float64 // Gaussian: transmission amplitude
-	field []float64 // Gaussian: convolved amplitude field
-	wide  []float64 // Gaussian: secondary (broad) kernel field
-	tmp   []float64 // Gaussian: horizontal-pass intermediate
-	pad   []float64 // Gaussian: background-padded row
-	kern  []float64 // Gaussian: normalized 1-D kernel taps
+	amp   []float64 // transmission amplitude
+	field []float64 // convolved amplitude field
+	wide  []float64 // secondary (broad) kernel field
+	tmp   []float64 // horizontal-pass intermediate
+	pad   []float64 // background-padded row
+	kern  []float64 // normalized 1-D kernel taps
 }
 
 var kernelScratchPool = sync.Pool{New: func() interface{} { return new(kernelScratch) }}
@@ -115,8 +115,8 @@ func borrowRaster(window geom.Rect, pixel geom.Coord) *geom.Raster {
 	return ra
 }
 
-// RecycleRaster returns a raster obtained from RasterizeInWindow to the
-// internal pool. The caller must not use ra (or aliases of its Data)
+// RecycleRaster returns a raster obtained from RasterizeInWindow or
+// RasterizePolygons to the internal pool. The caller must not use ra (or aliases of its Data)
 // afterwards. Safe to call with nil.
 //
 //postopc:allocfree
