@@ -78,16 +78,13 @@ func RasterizeInWindow(polys []geom.Polygon, window geom.Rect, pixel geom.Coord)
 }
 
 // RasterizePolygons builds a mask raster for arbitrary polygons (OPC output
-// is rectilinear but not rectangular).
+// is rectilinear but not rectangular) over their bounding box expanded by
+// guard. Like RasterizeInWindow it borrows the raster from the internal
+// pool; callers done with it should hand it back with RecycleRaster.
 func RasterizePolygons(polys []geom.Polygon, pixel, guard geom.Coord) *geom.Raster {
 	var bb geom.Rect
 	for _, pg := range polys {
 		bb = bb.Union(pg.BBox())
 	}
-	ra := geom.NewRaster(bb.Expand(guard), pixel)
-	for _, pg := range polys {
-		ra.AddPolygon(pg)
-	}
-	ra.Clamp()
-	return ra
+	return RasterizeInWindow(polys, bb.Expand(guard), pixel)
 }

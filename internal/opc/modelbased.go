@@ -96,6 +96,7 @@ func ModelBased(m litho.Model, drawn, context []geom.Polygon, opt Options) (*Res
 		masks = append(masks, context...)
 		raster := litho.RasterizePolygons(masks, r.PixelNM, r.GuardNM)
 		im, err := m.Aerial(raster, litho.Nominal)
+		litho.RecycleRaster(raster) // models never retain the mask
 		if err != nil {
 			return nil, err
 		}
@@ -138,6 +139,7 @@ func ModelBased(m litho.Model, drawn, context []geom.Polygon, opt Options) (*Res
 	}
 	raster := litho.RasterizePolygons(append(masks, context...), r.PixelNM, r.GuardNM)
 	im, err := m.Aerial(raster, litho.Nominal)
+	litho.RecycleRaster(raster)
 	if err != nil {
 		return nil, err
 	}

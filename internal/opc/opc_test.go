@@ -272,6 +272,7 @@ func TestBuildRuleTableAndApply(t *testing.T) {
 	measure := func(polys []geom.Polygon) float64 {
 		mask := litho.RasterizePolygons(polys, r.PixelNM, r.GuardNM)
 		im, err := m.Aerial(mask, litho.Nominal)
+		litho.RecycleRaster(mask)
 		if err != nil {
 			t.Fatal(err)
 		}

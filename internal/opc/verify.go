@@ -55,6 +55,7 @@ func Verify(m litho.Model, corrected, context []geom.Polygon, targets []*Fragmen
 	raster := litho.RasterizePolygons(append(append([]geom.Polygon{}, corrected...), context...),
 		r.PixelNM, r.GuardNM)
 	im, err := m.Aerial(raster, c)
+	litho.RecycleRaster(raster) // models never retain the mask
 	if err != nil {
 		return nil, EPEStats{}, err
 	}
