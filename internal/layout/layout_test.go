@@ -100,7 +100,7 @@ func TestInstanceTransforms(t *testing.T) {
 	}
 }
 
-func buildChip(t *testing.T) *Chip {
+func buildChip(t testing.TB) *Chip {
 	t.Helper()
 	c := invCell()
 	ch := &Chip{Name: "testchip"}

@@ -78,14 +78,16 @@ func TestCellRoundTrip(t *testing.T) {
 	}
 }
 
-func TestReadComments(t *testing.T) {
-	src := `plf 1
+// readCommentsSrc is a minimal cell with a comment line.
+const readCommentsSrc = `plf 1
 # a comment
 cell C box 0 0 10 10
   rect poly 1 1 2 2
 endcell
 `
-	f, err := Read(strings.NewReader(src))
+
+func TestReadComments(t *testing.T) {
+	f, err := Read(strings.NewReader(readCommentsSrc))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,29 +96,76 @@ endcell
 	}
 }
 
+// readErrorCases are malformed .plf inputs that Read must reject.
+var readErrorCases = []string{
+	"plf 2",
+	"rect poly 0 0 1 1",
+	"cell A box 0 0 x 10\nendcell",
+	"cell A box 0 0 10 10\n rect mystery 0 0 1 1\nendcell",
+	"cell A box 0 0 10 10\n gate G A quantum 0 0 1 1\nendcell",
+	"cell A box 0 0 10 10",
+	"cell A box 0 0 10 10\nendcell\ncell A box 0 0 10 10\nendcell",
+	"chip c die 0 0 10 10\n inst u1 NOPE 0 0 R0\nendchip",
+	"chip c die 0 0 10 10\n inst u1",
+	"chip c die 0 0 10 10",
+	"endcell",
+	"endchip",
+	"bogus line here",
+	"cell A box 0 0 10 10\n gate G A nmos 0 0 1 1 extra\nendcell",
+	"chip c die 0 0 10 10\n inst u1 C 0 0 R9\nendchip",
+}
+
 func TestReadErrors(t *testing.T) {
-	cases := []string{
-		"plf 2",
-		"rect poly 0 0 1 1",
-		"cell A box 0 0 x 10\nendcell",
-		"cell A box 0 0 10 10\n rect mystery 0 0 1 1\nendcell",
-		"cell A box 0 0 10 10\n gate G A quantum 0 0 1 1\nendcell",
-		"cell A box 0 0 10 10",
-		"cell A box 0 0 10 10\nendcell\ncell A box 0 0 10 10\nendcell",
-		"chip c die 0 0 10 10\n inst u1 NOPE 0 0 R0\nendchip",
-		"chip c die 0 0 10 10\n inst u1",
-		"chip c die 0 0 10 10",
-		"endcell",
-		"endchip",
-		"bogus line here",
-		"cell A box 0 0 10 10\n gate G A nmos 0 0 1 1 extra\nendcell",
-		"chip c die 0 0 10 10\n inst u1 C 0 0 R9\nendchip",
-	}
-	for i, src := range cases {
+	for i, src := range readErrorCases {
 		if _, err := Read(strings.NewReader(src)); err == nil {
 			t.Errorf("case %d accepted: %q", i, src)
 		}
 	}
+}
+
+// FuzzLayoutRead feeds arbitrary bytes to Read: malformed input must come
+// back as an error, never a panic. The seeds are the round-trip, comment
+// and error inputs of the tests above. A successful parse must also
+// survive a write and a second read.
+func FuzzLayoutRead(f *testing.F) {
+	var chip, cell bytes.Buffer
+	if err := WriteChip(&chip, buildChip(f)); err != nil {
+		f.Fatal(err)
+	}
+	if err := WriteCell(&cell, invCell()); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(chip.Bytes())
+	f.Add(cell.Bytes())
+	f.Add([]byte(readCommentsSrc))
+	for _, src := range readErrorCases {
+		f.Add([]byte(src))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		lf, err := Read(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		var buf bytes.Buffer
+		for _, c := range lf.Cells {
+			buf.Reset()
+			if err := WriteCell(&buf, c); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := Read(&buf); err != nil {
+				t.Fatalf("re-reading written cell %q: %v", c.Name, err)
+			}
+		}
+		if lf.Chip != nil {
+			buf.Reset()
+			if err := WriteChip(&buf, lf.Chip); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := Read(&buf); err != nil {
+				t.Fatalf("re-reading written chip: %v", err)
+			}
+		}
+	})
 }
 
 func TestSVGOutput(t *testing.T) {

@@ -143,8 +143,8 @@ func TestVerilogRoundTrip(t *testing.T) {
 	}
 }
 
-func TestParseVerilogComments(t *testing.T) {
-	src := `
+// verilogCommentsSrc is a one-gate module with line comments.
+const verilogCommentsSrc = `
 // a comment
 module top (a, y); // trailing
   input a;
@@ -152,7 +152,9 @@ module top (a, y); // trailing
   INV_X1 u0 (.A(a), .Y(y));
 endmodule
 `
-	n, err := ParseVerilog(strings.NewReader(src))
+
+func TestParseVerilogComments(t *testing.T) {
+	n, err := ParseVerilog(strings.NewReader(verilogCommentsSrc))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,21 +163,52 @@ endmodule
 	}
 }
 
+// verilogErrorCases are malformed modules that ParseVerilog must reject.
+var verilogErrorCases = []string{
+	"",
+	"module",
+	"module m (a;",
+	"module m (a); input a gibberish",
+	"module m (); INV_X1 u0 (.A x); endmodule",
+	"module m (); INV_X1 u0 (.A(x), .A(z), .Y(y)); endmodule",
+	"module m (); INV_X1 u0 (.A(x), .Y(y));", // missing endmodule
+}
+
 func TestParseVerilogErrors(t *testing.T) {
-	cases := []string{
-		"",
-		"module",
-		"module m (a;",
-		"module m (a); input a gibberish",
-		"module m (); INV_X1 u0 (.A x); endmodule",
-		"module m (); INV_X1 u0 (.A(x), .A(z), .Y(y)); endmodule",
-		"module m (); INV_X1 u0 (.A(x), .Y(y));", // missing endmodule
-	}
-	for i, src := range cases {
+	for i, src := range verilogErrorCases {
 		if _, err := ParseVerilog(strings.NewReader(src)); err == nil {
 			t.Errorf("case %d: expected parse error", i)
 		}
 	}
+}
+
+// FuzzParseVerilog feeds arbitrary bytes to ParseVerilog: malformed input
+// must come back as an error, never a panic. The seeds are the round-trip,
+// comment and error inputs of the tests above. A successful parse must
+// also survive a write and a second parse.
+func FuzzParseVerilog(f *testing.F) {
+	var rt bytes.Buffer
+	if err := WriteVerilog(&rt, ArrayMultiplier(4)); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(rt.Bytes())
+	f.Add([]byte(verilogCommentsSrc))
+	for _, src := range verilogErrorCases {
+		f.Add([]byte(src))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		n, err := ParseVerilog(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		var buf bytes.Buffer
+		if err := WriteVerilog(&buf, n); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := ParseVerilog(&buf); err != nil {
+			t.Fatalf("re-parsing written module %q: %v", n.Name, err)
+		}
+	})
 }
 
 func TestConnectivityErrors(t *testing.T) {
