@@ -101,14 +101,28 @@ func (p *vparser) expect(t string) error {
 	return nil
 }
 
+// ident consumes one identifier: any token but end of input or one of the
+// punctuation tokens tokenize emits.
+func (p *vparser) ident(what string) (string, error) {
+	t := p.next()
+	switch t {
+	case "":
+		return "", fmt.Errorf("netlist: missing %s", what)
+	case "(", ")", ",", ";", ".":
+		return "", fmt.Errorf("netlist: expected %s, got %q (token %d)", what, t, p.pos-1)
+	}
+	return t, nil
+}
+
 func (p *vparser) module() (*Netlist, error) {
 	if err := p.expect("module"); err != nil {
 		return nil, err
 	}
-	n := &Netlist{Name: p.next()}
-	if n.Name == "" {
-		return nil, fmt.Errorf("netlist: missing module name")
+	name, err := p.ident("module name")
+	if err != nil {
+		return nil, err
 	}
+	n := &Netlist{Name: name}
 	if err := p.expect("("); err != nil {
 		return nil, err
 	}
@@ -134,9 +148,9 @@ func (p *vparser) module() (*Netlist, error) {
 		case "input", "output", "wire":
 			p.next()
 			for {
-				name := p.next()
-				if name == "" || name == ";" {
-					return nil, fmt.Errorf("netlist: bad %s declaration", t)
+				name, err := p.ident(t + " name")
+				if err != nil {
+					return nil, err
 				}
 				switch t {
 				case "input":
@@ -152,10 +166,13 @@ func (p *vparser) module() (*Netlist, error) {
 			}
 		default:
 			// Cell instantiation: CELL name (.PIN(net), ...);
-			cell := p.next()
-			inst := p.next()
-			if inst == "" {
-				return nil, fmt.Errorf("netlist: missing instance name for cell %s", cell)
+			cell, err := p.ident("cell name")
+			if err != nil {
+				return nil, err
+			}
+			inst, err := p.ident("instance name for cell " + cell)
+			if err != nil {
+				return nil, err
 			}
 			if err := p.expect("("); err != nil {
 				return nil, err
@@ -165,11 +182,17 @@ func (p *vparser) module() (*Netlist, error) {
 				if err := p.expect("."); err != nil {
 					return nil, err
 				}
-				pin := p.next()
+				pin, err := p.ident("pin name")
+				if err != nil {
+					return nil, err
+				}
 				if err := p.expect("("); err != nil {
 					return nil, err
 				}
-				net := p.next()
+				net, err := p.ident("net name")
+				if err != nil {
+					return nil, err
+				}
 				if err := p.expect(")"); err != nil {
 					return nil, err
 				}
