@@ -172,6 +172,8 @@ var verilogErrorCases = []string{
 	"module m (); INV_X1 u0 (.A x); endmodule",
 	"module m (); INV_X1 u0 (.A(x), .A(z), .Y(y)); endmodule",
 	"module m (); INV_X1 u0 (.A(x), .Y(y));", // missing endmodule
+	"module m (;;(;.);endmodule",             // punctuation in the port list
+	"module m (a); input );endmodule",        // punctuation as a port name
 }
 
 func TestParseVerilogErrors(t *testing.T) {

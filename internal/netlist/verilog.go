@@ -127,7 +127,10 @@ func (p *vparser) module() (*Netlist, error) {
 		return nil, err
 	}
 	for p.peek() != ")" && p.peek() != "" {
-		p.next() // port list is re-derived from input/output declarations
+		// The port list is re-derived from the input/output declarations.
+		if _, err := p.ident("port name"); err != nil {
+			return nil, err
+		}
 		if p.peek() == "," {
 			p.next()
 		}
