@@ -222,9 +222,9 @@ func (a *Abbe) aerialFiltered(spectrum *dsp.FGrid, mask *geom.Raster, fs *filter
 	for pi := range fs.points {
 		pf := &fs.points[pi]
 		// The inverse transform reads the window's columns of every row
-		// and, on the support rows, the whole row. Zero the first and
-		// overwrite the support rows below: that leaves every row the
-		// transform reads at +0 except the support rows.
+		// and the whole of each support row. Zeroing the first and
+		// overwriting the support rows below leaves every other row at
+		// the +0 the transform requires.
 		for o := 0; o < nx*ny; o += nx {
 			vek.Zero(work.Re[o : o+cols])
 			vek.Zero(work.Im[o : o+cols])

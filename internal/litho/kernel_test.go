@@ -216,7 +216,6 @@ func TestKernelAllocBudget(t *testing.T) {
 				}
 			})
 			debug.SetGCPercent(gc)
-			t.Logf("%T AerialSeries on %dx%d mask: %g allocs/op", m, mask.Nx, mask.Ny, got)
 			if got > budget {
 				t.Errorf("%T AerialSeries on %dx%d mask: allocs/op = %g, budget %d", m, mask.Nx, mask.Ny, got, budget)
 			}

@@ -173,7 +173,7 @@ func (p *vparser) module() (*Netlist, error) {
 			if err != nil {
 				return nil, err
 			}
-			inst, err := p.ident("instance name for cell " + cell)
+			inst, err := p.ident("instance name")
 			if err != nil {
 				return nil, err
 			}
